@@ -172,7 +172,7 @@ fn pipeline_overlap_cycles() -> (u64, u64) {
         pipe_m.memory_hash(),
         "the pipeline must produce the bit-identical world"
     );
-    (sequential, report.cycles)
+    (sequential, report.run.cycles)
 }
 
 /// Simulated cycles for a read-only tile offload whose generic body

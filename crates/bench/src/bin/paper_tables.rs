@@ -114,7 +114,7 @@ fn write_sched_trace(path: &str) {
         .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::SCHED_LANE_BASE)
         .count();
     assert!(
-        sched_lanes >= usize::from(report.accels),
+        sched_lanes >= report.run.lanes.len(),
         "{path}: every dispatch lane must be named in the export"
     );
     eprintln!(
@@ -162,9 +162,9 @@ fn write_fault_trace(path: &str) {
         "wrote {path}: {} events from one E16 frame under fire ({} faults, {} retries, \
          {} host fallbacks) — the faults lane walkthrough in PROFILING.md reads this file",
         machine.events().len(),
-        report.faults,
-        report.retries,
-        report.fallbacks,
+        report.run.faults,
+        report.run.retries,
+        report.run.fallbacks,
     );
 }
 
@@ -196,7 +196,7 @@ fn write_pipe_trace(path: &str) {
         .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::PIPE_LANE_BASE)
         .count();
     assert!(
-        pipe_lanes >= usize::from(report.stages),
+        pipe_lanes >= report.run.lanes.len(),
         "{path}: every pipeline stage lane must be named in the export"
     );
     eprintln!(
@@ -204,7 +204,7 @@ fn write_pipe_trace(path: &str) {
          {} input-wait cycles, {} backpressure cycles) — the pipeline lane walkthrough in \
          PROFILING.md reads this file",
         machine.events().len(),
-        report.stages,
+        report.run.lanes.len(),
         report.chunks,
         report.input_wait_cycles,
         report.backpressure_cycles,

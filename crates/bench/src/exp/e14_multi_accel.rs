@@ -58,7 +58,7 @@ pub fn measure_policy(n: u32, accels: u16, policy: SchedPolicy) -> u64 {
     )
     .expect("tiles fit");
     assert_eq!(machine.races_detected(), 0);
-    report.cycles
+    report.run.cycles
 }
 
 /// Runs E14.

@@ -93,11 +93,11 @@ pub fn run(quick: bool) -> Table {
         );
         table.push_row(vec![
             policy.name().to_string(),
-            cycles(report.cycles),
-            speedup(static_report.cycles, report.cycles),
+            cycles(report.run.cycles),
+            speedup(static_report.run.cycles, report.run.cycles),
             report.steals.to_string(),
             cycles(report.steal_cycles),
-            format!("{:.2}", report.imbalance()),
+            format!("{:.2}", report.run.imbalance()),
         ]);
     }
     table
@@ -115,16 +115,16 @@ mod tests {
             assert_eq!(ws_world, st_world, "identical world state");
             assert!(ws.steals > 0, "the skew must trigger steals");
             assert!(
-                ws.cycles * 5 <= st.cycles * 4,
+                ws.run.cycles * 5 <= st.run.cycles * 4,
                 "n={n}: work stealing must recover >= 20%: {} vs {}",
-                ws.cycles,
-                st.cycles
+                ws.run.cycles,
+                st.run.cycles
             );
             assert!(
-                ws.imbalance() < st.imbalance(),
+                ws.run.imbalance() < st.run.imbalance(),
                 "stealing must flatten the lanes: {:.2} vs {:.2}",
-                ws.imbalance(),
-                st.imbalance()
+                ws.run.imbalance(),
+                st.run.imbalance()
             );
         }
     }
@@ -136,7 +136,12 @@ mod tests {
         // split.
         let (st, _) = measure(512, SchedPolicy::Static);
         let (sq, _) = measure(512, SchedPolicy::ShortestQueue);
-        assert!(sq.cycles < st.cycles, "{} vs {}", sq.cycles, st.cycles);
+        assert!(
+            sq.run.cycles < st.run.cycles,
+            "{} vs {}",
+            sq.run.cycles,
+            st.run.cycles
+        );
     }
 
     #[test]

@@ -176,8 +176,8 @@ pub fn run(quick: bool) -> Table {
             );
             if rate == 0.0 {
                 assert_eq!(
-                    report.cycles,
-                    clean.cycles,
+                    report.run.cycles,
+                    clean.run.cycles,
                     "{}: an armed all-zero plan must cost nothing",
                     policy.name()
                 );
@@ -207,11 +207,11 @@ pub fn run(quick: bool) -> Table {
             table.push_row(vec![
                 policy.name().to_string(),
                 format!("{rate:.2}"),
-                cycles(report.cycles),
-                speedup(report.cycles, clean.cycles),
-                report.faults.to_string(),
-                report.retries.to_string(),
-                report.fallbacks.to_string(),
+                cycles(report.run.cycles),
+                speedup(report.run.cycles, clean.run.cycles),
+                report.run.faults.to_string(),
+                report.run.retries.to_string(),
+                report.run.fallbacks.to_string(),
                 report.evicted.len().to_string(),
                 format!("{}->{}", stats_u.journal_bytes, stats_d.journal_bytes),
                 stats_d.dma_writeback_bytes_elided.to_string(),
@@ -234,9 +234,9 @@ mod tests {
         ] {
             let (clean, clean_world) = measure(512, policy, None);
             let (armed, armed_world) = measure(512, policy, Some(0.0));
-            assert_eq!(armed.cycles, clean.cycles, "{}", policy.name());
+            assert_eq!(armed.run.cycles, clean.run.cycles, "{}", policy.name());
             assert_eq!(armed_world, clean_world, "{}", policy.name());
-            assert_eq!(armed.faults, 0);
+            assert_eq!(armed.run.faults, 0);
         }
     }
 
@@ -244,9 +244,9 @@ mod tests {
     fn recovery_reproduces_the_faultless_world_under_fire() {
         let (_, clean_world) = measure(512, SchedPolicy::WorkStealing, None);
         let (report, world) = measure(512, SchedPolicy::WorkStealing, Some(0.10));
-        assert!(report.faults > 0, "a 10% rate must inject something");
+        assert!(report.run.faults > 0, "a 10% rate must inject something");
         assert!(
-            report.retries > 0 || report.fallbacks > 0,
+            report.run.retries > 0 || report.run.fallbacks > 0,
             "and something must have recovered"
         );
         assert_eq!(world, clean_world);
@@ -257,22 +257,22 @@ mod tests {
         let (clean, _) = measure(512, SchedPolicy::Static, None);
         let (low, _) = measure(512, SchedPolicy::Static, Some(0.02));
         let (high, _) = measure(512, SchedPolicy::Static, Some(0.10));
-        assert!(low.cycles >= clean.cycles);
+        assert!(low.run.cycles >= clean.run.cycles);
         assert!(
-            high.cycles > clean.cycles,
+            high.run.cycles > clean.run.cycles,
             "10% faults cannot be free: {} vs {}",
-            high.cycles,
-            clean.cycles
+            high.run.cycles,
+            clean.run.cycles
         );
-        assert!(high.faults > low.faults);
+        assert!(high.run.faults > low.run.faults);
     }
 
     #[test]
     fn runs_are_bit_identical_across_repeats() {
         let a = measure(512, SchedPolicy::WorkStealing, Some(0.05));
         let b = measure(512, SchedPolicy::WorkStealing, Some(0.05));
-        assert_eq!(a.0.cycles, b.0.cycles);
-        assert_eq!(a.0.faults, b.0.faults);
+        assert_eq!(a.0.run.cycles, b.0.run.cycles);
+        assert_eq!(a.0.run.faults, b.0.run.faults);
         assert_eq!(a.0.evicted, b.0.evicted);
         assert_eq!(a.1, b.1);
     }
@@ -304,10 +304,10 @@ mod tests {
         );
         assert_eq!(stats_u.dma_writeback_bytes_elided, 0);
         assert!(
-            declared.cycles < undeclared.cycles,
+            declared.run.cycles < undeclared.run.cycles,
             "elided flush puts make recovery cheaper: {} vs {}",
-            declared.cycles,
-            undeclared.cycles
+            declared.run.cycles,
+            undeclared.run.cycles
         );
     }
 }

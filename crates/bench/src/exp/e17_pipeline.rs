@@ -58,7 +58,7 @@ pub fn measure_pipeline(n: u32, buffers: u32) -> (u64, u64, (u64, u64)) {
     let report = staged_frame_pipeline(&mut machine, &entities, CHUNK, buffers).expect("fits");
     assert_eq!(machine.races_detected(), 0);
     (
-        report.cycles,
+        report.run.cycles,
         machine.memory_hash(),
         (report.input_wait_cycles, report.backpressure_cycles),
     )

@@ -168,7 +168,7 @@ mod tests {
     fn traced_sched_frame_records_scheduler_events_at_zero_cost() {
         let (machine, report) = traced_sched_frame(true);
         let (_, untraced_report) = traced_sched_frame(false);
-        assert_eq!(report.cycles, untraced_report.cycles);
+        assert_eq!(report.run.cycles, untraced_report.run.cycles);
         assert!(report.steals > 0, "the skewed frame steals");
         let stats = machine.stats();
         assert_eq!(u64::from(report.tiles), stats.sched_tiles);
@@ -188,7 +188,7 @@ mod tests {
         let stats = machine.stats();
         assert_eq!(
             stats.pipe_stage_runs,
-            u64::from(report.stages) * u64::from(report.chunks)
+            report.run.lanes.len() as u64 * u64::from(report.chunks)
         );
         assert_eq!(stats.pipe_chunks, u64::from(report.chunks));
         let events = machine.events().events();
@@ -208,8 +208,8 @@ mod tests {
     fn traced_fault_frame_records_fault_events_at_zero_cost() {
         let (machine, report) = traced_fault_frame(true);
         let (_, untraced_report) = traced_fault_frame(false);
-        assert_eq!(report.cycles, untraced_report.cycles);
-        assert!(report.faults > 0, "the 5% plan must inject");
+        assert_eq!(report.run.cycles, untraced_report.run.cycles);
+        assert!(report.run.faults > 0, "the 5% plan must inject");
         let events = machine.events().events();
         assert!(events
             .iter()

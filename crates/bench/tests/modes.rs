@@ -163,7 +163,7 @@ fn buffered_frame(
     .expect("recovery absorbs every fault");
     assert_eq!(machine.races_detected(), 0);
     let world = out.snapshot(&machine).expect("snapshot reads");
-    (world, machine.stats().journal_bytes, report.cycles)
+    (world, machine.stats().journal_bytes, report.run.cycles)
 }
 
 /// The identity property: for random worlds, fault seeds, and fault

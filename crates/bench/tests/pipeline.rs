@@ -12,7 +12,7 @@
 use memspace::Addr;
 use offload_rt::pipeline::MachinePipelineExt;
 use offload_rt::stream::{process_stream, StreamConfig};
-use offload_rt::PipeReport;
+use offload_rt::{PipeReport, Recoverable};
 use simcell::{AccelCtx, FaultPlan, Machine, MachineConfig, SimError};
 use xrng::Rng;
 
@@ -127,7 +127,7 @@ fn pipeline_matches_sequential_for_random_shapes() {
         );
         assert_eq!(pipe.races_detected(), 0, "no races at {shape:?}");
         assert_eq!(
-            u64::from(report.chunks) * u64::from(report.stages),
+            u64::from(report.chunks) * report.run.lanes.len() as u64,
             u64::from(shape.len.div_ceil(shape.chunk)) * u64::from(shape.stages),
             "every chunk ran once per stage at {shape:?}"
         );

@@ -103,9 +103,9 @@ fn e15_work_stealing_beats_static_by_twenty_percent() {
     let (ws, ws_world) = e15_sched_policies::measure(512, SchedPolicy::WorkStealing);
     assert_eq!(ws_world, st_world);
     assert!(
-        ws.cycles * 5 <= st.cycles * 4,
+        ws.run.cycles * 5 <= st.run.cycles * 4,
         "{} vs {}",
-        ws.cycles,
-        st.cycles
+        ws.run.cycles,
+        st.run.cycles
     );
 }

@@ -15,9 +15,11 @@
 //! sequential host order and the snapshot-based offloaded order compute
 //! identical results (asserted in tests).
 
+use std::ops::Range;
+
 use memspace::Addr;
-use offload_rt::sched::{SchedExt, SchedPolicy, SchedReport};
-use offload_rt::{ArrayAccessor, RemoteSlice};
+use offload_rt::sched::{block_range, SchedExt, SchedPolicy, SchedReport};
+use offload_rt::{ArrayAccessor, Recoverable, RemoteSlice};
 use simcell::{AccelCtx, FaultPlan, Machine, SimError};
 
 use crate::entity::{state, EntityArray, GameEntity};
@@ -197,7 +199,7 @@ pub fn ai_frame_offloaded_tiled(
         SchedPolicy::Static,
         &[],
     )?;
-    Ok(report.cycles)
+    Ok(report.run.cycles)
 }
 
 /// Runs one AI frame as `tiles` tiles dispatched by a scheduler
@@ -250,8 +252,7 @@ pub fn ai_frame_sched(
             if let Some(&cost) = extra.get(tile as usize) {
                 ctx.compute(cost);
             }
-            let begin = n * tile / tiles;
-            let end = n * (tile + 1) / tiles;
+            let Range { start: begin, end } = block_range(n, tile, tiles);
             let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
             let count = end - begin;
             if count == 0 {
@@ -329,8 +330,7 @@ pub fn ai_frame_sched_recovering(
         .backoff(backoff)
         .fallback_host()
         .run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-            let begin = n * tile / tiles;
-            let end = n * (tile + 1) / tiles;
+            let Range { start: begin, end } = block_range(n, tile, tiles);
             let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
             let count = end - begin;
             if count == 0 {
@@ -427,24 +427,21 @@ pub fn ai_frame_sched_recovering_buffered(
     }
     let n = entities_in.len();
     let k = config.candidates;
-    let mut sched = machine
-        .offload(0)
-        .label("ai tile")
-        .faults(plan)
+    let mut offload = machine.offload(0).label("ai tile").faults(plan);
+    if declare_modes {
+        offload = offload
+            .reads(entities_in.base(), n * GameEntity::STRIDE)
+            .reads(candidate_table, n * k * 4)
+            .writes(out.base(), n * GameEntity::STRIDE);
+    }
+    let sched = offload
         .sched(policy)
         .accels(accels)
         .retry(retries)
         .backoff(backoff)
         .fallback_host();
-    if declare_modes {
-        sched = sched
-            .reads(entities_in.base(), n * GameEntity::STRIDE)
-            .reads(candidate_table, n * k * 4)
-            .writes(out.base(), n * GameEntity::STRIDE);
-    }
     let (_, report) = sched.run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-        let begin = n * tile / tiles;
-        let end = n * (tile + 1) / tiles;
+        let Range { start: begin, end } = block_range(n, tile, tiles);
         let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities_in.base(), n)?;
         let count = end - begin;
         if count == 0 {
@@ -695,7 +692,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            report.faults > 0,
+            report.run.faults > 0,
             "this seed must inject something for the test to mean anything"
         );
         assert_eq!(
@@ -762,10 +759,10 @@ mod tests {
         );
         assert!(stats_d.journal_bytes_skipped > 0);
         assert!(
-            declared.cycles < undeclared.cycles,
+            declared.run.cycles < undeclared.run.cycles,
             "eliding the flush puts must make the frame cheaper: {} vs {}",
-            declared.cycles,
-            undeclared.cycles
+            declared.run.cycles,
+            undeclared.run.cycles
         );
     }
 

@@ -282,9 +282,9 @@ mod tests {
         let (mut pipe, e2) = world(1024);
         let report = staged_frame_pipeline(&mut pipe, &e2, 64, 2).unwrap();
         assert!(
-            (report.cycles as f64) * 1.3 <= seq_cycles as f64,
+            (report.run.cycles as f64) * 1.3 <= seq_cycles as f64,
             "overlap must win by 1.3x: pipeline {} vs sequential {seq_cycles}",
-            report.cycles
+            report.run.cycles
         );
     }
 

@@ -15,7 +15,7 @@ use memspace::{Addr, Pod};
 use simcell::{AccelCtx, SimError};
 
 use crate::remote::RemoteSlice;
-use crate::ACCESSOR_TAG;
+use crate::{stride, ACCESSOR_TAG};
 
 /// A local-store mirror of a main-memory array, filled by one bulk DMA
 /// transfer and optionally written back.
@@ -148,7 +148,7 @@ impl<T: Pod> ArrayAccessor<T> {
         if !self.dirty {
             return Ok(());
         }
-        let bytes = (T::SIZE as u32) * self.len;
+        let bytes = stride::<T>() * self.len;
         if ctx.writeback_elidable(self.local, self.remote, bytes)? {
             self.dirty = false;
             return Ok(());
@@ -166,7 +166,7 @@ impl<T: Pod> ArrayAccessor<T> {
     /// DMA-limit-sized commands on the accessor tag (not waited).
     fn transfer(&self, ctx: &mut AccelCtx<'_>, dir: TransferDir) -> Result<(), SimError> {
         let tag = Self::tag();
-        let bytes = (T::SIZE as u32) * self.len;
+        let bytes = stride::<T>() * self.len;
         let mut moved = 0u32;
         while moved < bytes {
             let chunk = (bytes - moved).min(dma::MAX_TRANSFER);

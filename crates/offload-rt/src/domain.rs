@@ -130,7 +130,7 @@ impl ClassRegistry {
         };
         self.names.push(name.into());
         self.vtables.push(vtable);
-        ClassId(self.names.len() as u32 - 1)
+        ClassId(u32::try_from(self.names.len() - 1).expect("class ids are u32"))
     }
 
     /// Defines (or overrides) the method in `slot` for `class`.
@@ -247,14 +247,15 @@ impl Domain {
     ) -> Result<(FnAddr, LookupCost), SimError> {
         for (i, &entry) in self.outer.iter().enumerate() {
             if entry == target {
-                let outer_probes = i as u32 + 1;
+                // Probe counts saturate; no table nears 2^32 entries.
+                let outer_probes = u32::try_from(i + 1).unwrap_or(u32::MAX);
                 for (j, &(dup, local)) in self.inner[i].iter().enumerate() {
                     if dup == duplicate {
                         return Ok((
                             local,
                             LookupCost {
                                 outer_probes,
-                                inner_probes: j as u32 + 1,
+                                inner_probes: u32::try_from(j + 1).unwrap_or(u32::MAX),
                             },
                         ));
                     }
@@ -273,7 +274,7 @@ impl Domain {
             target: target.0,
             duplicate: duplicate.0,
             outer_matched: false,
-            outer_searched: self.outer.len() as u32,
+            outer_searched: u32::try_from(self.outer.len()).unwrap_or(u32::MAX),
             method_name: None,
         }
         .into())

@@ -43,10 +43,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod accessor;
 pub mod codeload;
 pub mod domain;
+pub mod exec;
 pub mod pipeline;
 pub mod prelude;
 pub mod remote;
@@ -60,9 +62,10 @@ pub use domain::{
     accel_virtual_dispatch, class_of, host_virtual_dispatch, set_class, ClassId, ClassRegistry,
     Domain, DuplicateId, FnAddr, LookupCost, MethodSlot, MethodTable,
 };
-pub use pipeline::{MachinePipelineExt, PipeLaneReport, PipeReport, PipelineBuilder};
+pub use exec::{LaneReport, Recoverable, Recovery, RunSummary, DEFAULT_RETRY_BACKOFF};
+pub use pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use remote::{GatherView, RemoteSlice};
-pub use sched::{SchedExt, SchedPolicy, SchedReport, TileScheduler};
+pub use sched::{block_range, SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use stream::{process_chunked, process_stream, StreamConfig};
 pub use tuned::{build_tuned_cache, TunedCache};
 
@@ -73,3 +76,8 @@ pub use tuned::{build_tuned_cache, TunedCache};
 pub const ACCESSOR_TAG: u8 = 26;
 /// DMA tags used by the double-buffered streamer (one per buffer).
 pub const STREAM_TAGS: [u8; 2] = [24, 25];
+
+/// `T::SIZE` as a simulated-address stride.
+pub(crate) fn stride<T: memspace::Pod>() -> u32 {
+    u32::try_from(T::SIZE).expect("Pod types are far smaller than 4 GiB")
+}

@@ -3,7 +3,8 @@
 //! `use offload_rt::prelude::*;` brings in everything a typical
 //! offloaded frame touches: the machine and its fluent offload
 //! builder, the accessor and streaming abstractions, the autotuned
-//! cache types, and the tile scheduler. Examples and doc tests across
+//! cache types, the tile scheduler and pipeline, and the recovery
+//! setters they share. Examples and doc tests across
 //! the repository import exactly this.
 
 pub use memspace::{Addr, Pod, SpaceId};
@@ -14,7 +15,8 @@ pub use simcell::{
 pub use softcache::{autotune::autotune, CacheChoice, CacheConfig, TunedCache};
 
 pub use crate::accessor::ArrayAccessor;
-pub use crate::pipeline::{MachinePipelineExt, PipeLaneReport, PipeReport, PipelineBuilder};
+pub use crate::exec::{LaneReport, Recoverable, RunSummary};
+pub use crate::pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use crate::remote::{GatherView, RemoteSlice};
 pub use crate::sched::{SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use crate::stream::{process_chunked, process_stream, StreamConfig};

@@ -4,7 +4,7 @@
 //! local store: the dense [`ArrayAccessor`](crate::ArrayAccessor)
 //! (paper §4.2's bulk transfer) and the irregular
 //! [`GatherView`] (a packed buffer filled by a coalesced
-//! [`GatherPlan`](simcell::GatherPlan) batch). Both end the same way —
+//! [`GatherPlan`] batch). Both end the same way —
 //! a local base address and an element count — so both expose element
 //! access through the one [`RemoteSlice`] trait: kernels index either
 //! shape with the same `get`/`to_vec` calls, and generic helpers take
@@ -14,6 +14,8 @@ use std::marker::PhantomData;
 
 use memspace::{Addr, Pod};
 use simcell::{AccelCtx, GatherPlan, SimError};
+
+use crate::stride;
 
 /// Indexed element access into a local-store mirror of remote data.
 ///
@@ -43,12 +45,12 @@ pub trait RemoteSlice<T: Pod> {
         if index >= self.len() {
             return Err(SimError::Memory(memspace::MemError::OutOfBounds {
                 space: self.local_base().space(),
-                offset: index.saturating_mul(T::SIZE as u32),
-                len: T::SIZE as u32,
-                capacity: self.len().saturating_mul(T::SIZE as u32),
+                offset: index.saturating_mul(stride::<T>()),
+                len: stride::<T>(),
+                capacity: self.len().saturating_mul(stride::<T>()),
             }));
         }
-        Ok(self.local_base().element(index, T::SIZE as u32)?)
+        Ok(self.local_base().element(index, stride::<T>())?)
     }
 
     /// Reads element `index` (a fast local access).
@@ -71,7 +73,7 @@ pub trait RemoteSlice<T: Pod> {
 }
 
 /// A read-only local view over gathered elements: the packed buffer a
-/// [`GatherPlan`](simcell::GatherPlan) batch fetched, exposed as a
+/// [`GatherPlan`] batch fetched, exposed as a
 /// dense array in index-list order.
 ///
 /// Where [`ArrayAccessor`](crate::ArrayAccessor) mirrors a contiguous
@@ -119,7 +121,7 @@ impl<T: Pod> GatherView<T> {
     /// faults (the whole batch rolls back), or an undeclared read
     /// under access modes.
     pub fn fetch(ctx: &mut AccelCtx<'_>, base: Addr, indices: Vec<u32>) -> Result<Self, SimError> {
-        Self::from_plan(ctx, &GatherPlan::new(base, T::SIZE as u32, indices))
+        Self::from_plan(ctx, &GatherPlan::new(base, stride::<T>(), indices))
     }
 
     /// Executes a prebuilt plan (see [`AccelCtx::gather`]) and wraps
@@ -131,13 +133,13 @@ impl<T: Pod> GatherView<T> {
     pub fn from_plan(ctx: &mut AccelCtx<'_>, plan: &GatherPlan) -> Result<Self, SimError> {
         assert_eq!(
             plan.elem_size(),
-            T::SIZE as u32,
+            stride::<T>(),
             "gather plan element size must match the view's element type"
         );
         let local = ctx.gather(plan)?;
         Ok(GatherView {
             local,
-            len: plan.len() as u32,
+            len: u32::try_from(plan.len()).expect("the packed buffer fit the local store"),
             _marker: PhantomData,
         })
     }

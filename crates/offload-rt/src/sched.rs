@@ -4,28 +4,10 @@
 //! accelerator by hand. Once a task is tiled finer than the
 //! accelerator count — or the tiles stop costing the same — someone
 //! has to decide *which* accelerator runs *which* tile, and that
-//! decision is a scheduler. This module layers three of them over
-//! [`simcell::Machine`], all deterministic (the simulation stays
-//! sequential; "parallelism" is the cycle accounting):
-//!
-//! - [`SchedPolicy::Static`]: block-split tiles over accelerators up
-//!   front, exactly the hand-rolled split of the E14 experiment. Tile
-//!   `t` of `T` on accelerator `base + t*A/T`-ish; with `T == A` this
-//!   reproduces the classic one-offload-per-accelerator frame
-//!   bit-identically.
-//! - [`SchedPolicy::ShortestQueue`]: greedy — each tile, in order,
-//!   goes to the accelerator that frees up earliest.
-//! - [`SchedPolicy::WorkStealing`]: per-accelerator deques seeded with
-//!   the static split; an accelerator that drains its own deque steals
-//!   the *back* tile of the most-loaded queue, paying
-//!   [`TileScheduler::steal_cost`] simulated cycles for the cross-queue
-//!   grab. A steal is taken only when profitable — the thief, steal
-//!   cost included, must start the tile strictly before the victim
-//!   could even begin its own queue's remainder — so every stolen tile
-//!   finishes no later than it would have under [`SchedPolicy::Static`]
-//!   and work stealing can only recover cycles, never lose them (the
-//!   seeded property test in `bench` exercises this over random
-//!   tile-cost vectors).
+//! decision is a scheduler. This module layers the three
+//! [`SchedPolicy`] variants over [`simcell::Machine`], all deterministic
+//! (the simulation stays sequential; "parallelism" is the cycle
+//! accounting).
 //!
 //! Every enqueue, run, steal and idle gap is recorded as a
 //! zero-simulated-cost structured event in the machine's [`EventLog`];
@@ -35,30 +17,14 @@
 //!
 //! # Recovery
 //!
-//! When a deterministic fault plan is armed (via the builder's
-//! `.faults(plan)` or [`TileScheduler::faults`]), the scheduler grows a
-//! recovery layer configured by [`TileScheduler::retry`],
-//! [`TileScheduler::backoff`] and [`TileScheduler::fallback_host`]:
-//!
-//! - **Retry with backoff**: a tile whose closure hits a *transient*
-//!   fault (DMA corruption/drop, tag timeout, local-store poison) is
-//!   re-run on the same accelerator, up to the configured retry count.
-//!   Each retry releases the tile's local-store allocations, quiesces
-//!   the DMA engine, charges the backoff cycles on the accelerator
-//!   clock, and records a `retry` event on the faults lane.
-//! - **Eviction**: an accelerator the fault plane kills is removed from
-//!   the live lane set mid-dispatch. Its queued tiles are redistributed
-//!   round-robin over the survivors (under work stealing the thieves
-//!   then rebalance them as usual); an `evict` event notes the move.
-//! - **Host fallback**: with [`TileScheduler::fallback_host`], a tile
-//!   that exhausts its retries — or that no live accelerator remains to
-//!   run — degrades to host execution via
-//!   [`simcell::Machine::run_host_fallback`], paying the cost model's
-//!   honest `host_fallback_factor` penalty. Without it, the fault
-//!   surfaces as the dispatch error.
-//!
-//! With no plan armed (or an all-zero plan) none of this draws from the
-//! fault RNG and the schedule is bit-identical to the fault-free one.
+//! With a fault plan armed, every tile runs through the shared recovery
+//! layer of [`crate::exec`], configured by the [`Recoverable`] setters:
+//! transient faults retry with backoff, and with
+//! [`Recoverable::fallback_host`] unrecoverable tiles degrade to the
+//! host. The scheduler adds **eviction**: an accelerator the fault plane
+//! kills leaves the live lane set mid-dispatch, and its queued tiles are
+//! redistributed round-robin over the survivors (an `evict` event notes
+//! the move); tiles no live lane can take fall back to the host too.
 //!
 //! # Example
 //!
@@ -80,6 +46,7 @@
 //!     })?;
 //! assert_eq!(ends.len(), 8);
 //! assert_eq!(report.tiles, 8);
+//! assert_eq!(report.run.lanes.len(), 4);
 //! # Ok(())
 //! # }
 //! ```
@@ -87,28 +54,35 @@
 //! [`EventLog`]: simcell::EventLog
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use memspace::Addr;
 use simcell::{
-    AccelCtx, AccessMode, FaultError, FaultPlan, Machine, ModeSet, OffloadBuilder, OffloadHandle,
-    OffloadParts, SimError,
+    AccelCtx, FaultError, Machine, ModeSet, OffloadBuilder, OffloadHandle, OffloadParts, SimError,
 };
 use softcache::CacheChoice;
+
+use crate::exec::{
+    host_fallback, lane_range, run_with_retries, Exec, LaneSpan, Recoverable, Recovery, RunSummary,
+};
 
 /// How a [`TileScheduler`] maps tiles onto accelerators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Block-split tiles over accelerators up front: accelerator `a`
-    /// of `A` owns tiles `[T*a/A, T*(a+1)/A)`. With one tile per
-    /// accelerator this is bit-identical to launching one offload per
-    /// accelerator by hand (the E14 shape).
+    /// of `A` owns tiles [`block_range(T, a, A)`](block_range). With
+    /// one tile per accelerator this is bit-identical to launching one
+    /// offload per accelerator by hand (the E14 shape).
     Static,
     /// Greedy: each tile, in tile order, goes to the accelerator that
     /// frees up earliest (ties to the lowest index).
     ShortestQueue,
     /// Static seeding plus stealing: an accelerator whose own deque is
-    /// empty takes the back tile of the most-loaded queue when doing
-    /// so is strictly profitable, paying the configured steal cost.
+    /// empty takes the back tile of the most-loaded queue, paying
+    /// [`TileScheduler::steal_cost`]. It steals only when it would start
+    /// the tile, steal cost included, strictly before the victim could,
+    /// so a stolen tile never finishes later than under
+    /// [`SchedPolicy::Static`] (a seeded property test in `bench` checks
+    /// this over random tile costs).
     WorkStealing,
 }
 
@@ -129,10 +103,22 @@ impl SchedPolicy {
 /// two high-latency accesses' worth under the Cell-like cost model).
 pub const DEFAULT_STEAL_COST: u64 = 600;
 
-/// Simulated cycles a retried tile cools down on the accelerator clock
-/// before re-running (see [`TileScheduler::backoff`]): roughly the
-/// cost of re-staging one bulk descriptor under the Cell-like model.
-pub const DEFAULT_RETRY_BACKOFF: u64 = 1_000;
+/// Part `part` of `parts` in a block split of `0..n`:
+/// `[n*part/parts, n*(part+1)/parts)`. The parts partition `0..n` in
+/// order and differ in length by at most one. The products are taken in
+/// 64 bits, so no `n` or `parts` can wrap them.
+///
+/// # Panics
+///
+/// Panics unless `part < parts`.
+pub fn block_range(n: u32, part: u32, parts: u32) -> Range<u32> {
+    assert!(part < parts, "part {part} of a {parts}-way split");
+    let bound = |p: u32| {
+        // p <= parts, so the quotient is at most n.
+        u32::try_from(u64::from(n) * u64::from(p) / u64::from(parts)).expect("at most n")
+    };
+    bound(part)..bound(part + 1)
+}
 
 /// Extends [`OffloadBuilder`] with the scheduler entry point, so a
 /// tiled dispatch reads as one fluent chain:
@@ -140,7 +126,9 @@ pub const DEFAULT_RETRY_BACKOFF: u64 = 1_000;
 pub trait SchedExt<'m> {
     /// Turns the configured offload into a [`TileScheduler`] running
     /// under `policy`. The builder's accelerator index becomes the
-    /// first lane; its label and cache choice apply to every tile.
+    /// first lane; its label, cache choice, access modes and fault
+    /// plan apply to every tile. Gather plans do not fan out over tiles:
+    /// declaring one makes [`TileScheduler::run_tiles`] fail.
     fn sched(self, policy: SchedPolicy) -> TileScheduler<'m>;
 }
 
@@ -153,10 +141,7 @@ impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
             cache,
             faults,
             modes,
-            // Tile schedulers re-launch per tile; launch-time gather
-            // declarations don't fan out, so kernels gather dynamically
-            // via AccelCtx::gather instead.
-            gathers: _,
+            gathers,
         } = self.into_parts();
         TileScheduler {
             machine,
@@ -166,11 +151,12 @@ impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
             cache,
             policy,
             steal_cost: DEFAULT_STEAL_COST,
-            faults,
-            retries: 0,
-            backoff: DEFAULT_RETRY_BACKOFF,
-            fallback: false,
+            recovery: Recovery {
+                plan: faults,
+                ..Recovery::default()
+            },
             modes,
+            gathers: !gathers.is_empty(),
         }
     }
 }
@@ -178,7 +164,8 @@ impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
 /// A configured tile dispatch over several accelerators.
 ///
 /// Built by [`SchedExt::sched`]; consumed by
-/// [`TileScheduler::run_tiles`].
+/// [`TileScheduler::run_tiles`]. Recovery is set through
+/// [`Recoverable`].
 #[must_use = "a tile scheduler does nothing until run_tiles"]
 #[derive(Debug)]
 pub struct TileScheduler<'m> {
@@ -189,115 +176,109 @@ pub struct TileScheduler<'m> {
     cache: CacheChoice,
     policy: SchedPolicy,
     steal_cost: u64,
-    faults: Option<FaultPlan>,
-    retries: u32,
-    backoff: u64,
-    fallback: bool,
+    recovery: Recovery,
     modes: ModeSet,
+    /// Whether the offload builder declared gather plans (rejected at run).
+    gathers: bool,
 }
 
-/// Per-accelerator row of a [`SchedReport`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LaneReport {
-    /// The accelerator index.
-    pub accel: u16,
-    /// Tiles this accelerator ran.
-    pub tiles: u32,
-    /// Cycles spent running tiles.
-    pub busy: u64,
-    /// Cycles spent idle between the dispatch start and the last tile
-    /// end anywhere (the gaps the scheduler lane shows as `idle`).
-    pub idle: u64,
+impl Recoverable for TileScheduler<'_> {
+    fn recovery_mut(&mut self) -> &mut Recovery {
+        &mut self.recovery
+    }
 }
 
 /// What a [`TileScheduler::run_tiles`] dispatch did, for reports and
-/// assertions. All cycle figures are simulated cycles.
-///
-/// # Busy / idle / stall
-///
-/// This report and [`PipeReport`](crate::PipeReport) share one
-/// vocabulary, exposed by the same three accessors on both:
-///
-/// | term | meaning (simulated cycles) |
-/// |-------|---------------------------|
-/// | busy  | a lane was executing items: compute, transfers, and any stalls charged to the item ([`busy_cycles`](SchedReport::busy_cycles), summed over [`LaneReport::busy`]) |
-/// | idle  | a lane had nothing to run between the dispatch start and the last item finishing anywhere ([`idle_cycles`](SchedReport::idle_cycles), summed over [`LaneReport::idle`]) |
-/// | stall | items were blocked on coordination rather than work — steal costs here, input waits and backpressure in a pipeline ([`stall_cycles`](SchedReport::stall_cycles)) |
-///
-/// Stall cycles are a *breakdown*, not a third bucket: they were
-/// charged somewhere (to the thief's lane here, to the stage's item in
-/// a pipeline), so they are already inside the busy/cycle totals.
+/// assertions: the shared [`RunSummary`] (one lane per accelerator;
+/// see its busy/idle/stall table) plus the scheduler's own figures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchedReport {
     /// The policy that produced this schedule.
     pub policy: SchedPolicy,
     /// Tiles dispatched.
     pub tiles: u32,
-    /// Accelerator lanes used.
-    pub accels: u16,
-    /// Host cycles from entering `run_tiles` to the last join.
-    pub cycles: u64,
-    /// Cycle at which the last tile finished (absolute machine time).
-    pub finished_at: u64,
-    /// One row per accelerator lane.
-    pub lanes: Vec<LaneReport>,
+    /// Cycles, lanes, and fault/retry/fallback counts of the dispatch.
+    pub run: RunSummary,
     /// Tiles that moved queues under work stealing.
     pub steals: u32,
     /// Total cycles thieves paid grabbing those tiles.
     pub steal_cycles: u64,
-    /// Faults the plane injected during the dispatch (all kinds).
-    pub faults: u64,
-    /// Tile retries the recovery layer performed.
-    pub retries: u64,
-    /// Tiles that degraded to host execution.
-    pub fallbacks: u64,
     /// Accelerators evicted mid-dispatch after the fault plane killed
     /// them, in eviction order.
     pub evicted: Vec<u16>,
 }
 
 impl SchedReport {
-    /// Total busy cycles: the sum of [`LaneReport::busy`] over every
-    /// lane (see the busy/idle/stall table on [`SchedReport`]).
-    pub fn busy_cycles(&self) -> u64 {
-        self.lanes.iter().map(|l| l.busy).sum()
-    }
-
-    /// Total idle cycles: the sum of [`LaneReport::idle`] over every
-    /// lane.
-    pub fn idle_cycles(&self) -> u64 {
-        self.lanes.iter().map(|l| l.idle).sum()
-    }
-
     /// Total coordination-stall cycles: for tile dispatch, the cycles
     /// thieves paid moving stolen tiles between queues
     /// ([`SchedReport::steal_cycles`]).
     pub fn stall_cycles(&self) -> u64 {
         self.steal_cycles
     }
-
-    /// Load imbalance of the schedule: max over mean busy cycles
-    /// across the lanes that ran anything (1.0 = perfectly balanced).
-    pub fn imbalance(&self) -> f64 {
-        let busy: Vec<u64> = self
-            .lanes
-            .iter()
-            .map(|l| l.busy)
-            .filter(|&b| b > 0)
-            .collect();
-        if busy.is_empty() {
-            return 1.0;
-        }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        max / mean
-    }
 }
 
 /// One dispatched tile, pending join.
-struct Dispatch<R> {
-    tile: u32,
-    handle: OffloadHandle<Result<R, SimError>>,
+type Dispatch<R> = (u32, OffloadHandle<Result<R, SimError>>);
+
+/// Per-lane tile queues of the static and work-stealing policies, with
+/// the lanes evicted so far and the tiles stranded when none survives.
+struct Queues {
+    lanes: Vec<(u16, VecDeque<u32>)>,
+    evicted: Vec<u16>,
+    stranded: Vec<(u32, u16)>,
+}
+
+impl Queues {
+    /// Seeds every lane with its static block of tiles.
+    fn split(machine: &mut Machine, lanes: &[u16], tiles: u32, at: u64) -> Queues {
+        let parts = u32::try_from(lanes.len()).expect("lanes come from a u16 range");
+        let lanes: Vec<(u16, VecDeque<u32>)> = lanes
+            .iter()
+            .zip(0..)
+            .map(|(&lane, part)| (lane, block_range(tiles, part, parts).collect()))
+            .collect();
+        for (lane, queue) in &lanes {
+            for &tile in queue {
+                machine.sched_note_enqueue(at, *lane, tile);
+            }
+        }
+        Queues {
+            lanes,
+            evicted: Vec::new(),
+            stranded: Vec::new(),
+        }
+    }
+
+    /// Evicts lane `i`, whose accelerator died, and round-robins its
+    /// queued tiles over the survivors. With no survivor the tiles are
+    /// stranded for the host fallback — or, without one, the death is
+    /// the dispatch error. Returns whether any lane survives.
+    fn evict(&mut self, machine: &mut Machine, i: usize, fallback: bool) -> Result<bool, SimError> {
+        let (dead, orphans) = self.lanes.remove(i);
+        self.evicted.push(dead);
+        let moved = u32::try_from(orphans.len()).expect("a queue holds at most u32 tiles");
+        machine.recovery_note_evict(machine.host_now(), dead, moved);
+        if self.lanes.is_empty() {
+            if !fallback {
+                return Err(FaultError::AccelDead { accel: dead }.into());
+            }
+            self.stranded.extend(orphans.into_iter().map(|t| (t, dead)));
+            return Ok(false);
+        }
+        let survivors = self.lanes.len();
+        for (k, tile) in orphans.into_iter().enumerate() {
+            let (lane, queue) = &mut self.lanes[k % survivors];
+            queue.push_back(tile);
+            machine.sched_note_enqueue(machine.host_now(), *lane, tile);
+        }
+        Ok(true)
+    }
+}
+
+/// When `lane`'s accelerator frees up; lanes are range-checked before
+/// any policy runs.
+fn free_at(machine: &Machine, lane: u16) -> u64 {
+    machine.accel_free_at(lane).expect("lane checked above")
 }
 
 impl<'m> TileScheduler<'m> {
@@ -317,65 +298,6 @@ impl<'m> TileScheduler<'m> {
         self
     }
 
-    /// Arms `plan` on the machine when the dispatch starts (the
-    /// scheduler-side twin of [`OffloadBuilder::faults`], for chains
-    /// that call [`SchedExt::sched`] first). The plan persists on the
-    /// machine afterwards; clear it with
-    /// [`Machine::clear_fault_plan`](simcell::Machine::clear_fault_plan).
-    pub fn faults(mut self, plan: FaultPlan) -> TileScheduler<'m> {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Retries a tile up to `n` times after a *transient* fault (DMA
-    /// corruption/drop, tag timeout, local-store poison) before giving
-    /// up on it. Default 0: the first fault is final.
-    pub fn retry(mut self, n: u32) -> TileScheduler<'m> {
-        self.retries = n;
-        self
-    }
-
-    /// Sets the simulated cycles a retried tile waits on the
-    /// accelerator clock before re-running (default
-    /// [`DEFAULT_RETRY_BACKOFF`]).
-    pub fn backoff(mut self, cycles: u64) -> TileScheduler<'m> {
-        self.backoff = cycles;
-        self
-    }
-
-    /// Declares that every tile only *loads* from `[addr, addr+len)`
-    /// (see [`OffloadBuilder::reads`]). The declaration applies to each
-    /// tile launch and to any host fallback of the same tile.
-    pub fn reads(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Read);
-        self
-    }
-
-    /// Declares that tiles *fully overwrite* `[addr, addr+len)` without
-    /// reading it (see [`OffloadBuilder::writes`]): the put journal
-    /// skips pre-image snapshots for the range under an armed fault
-    /// plan.
-    pub fn writes(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Write);
-        self
-    }
-
-    /// Declares that tiles read *and* write `[addr, addr+len)` (see
-    /// [`OffloadBuilder::updates`]).
-    pub fn updates(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Update);
-        self
-    }
-
-    /// Degrades unrecoverable tiles to host execution instead of
-    /// failing the dispatch: tiles that exhaust their retries, and
-    /// tiles stranded when every lane's accelerator has died, re-run on
-    /// the host at the cost model's `host_fallback_factor` penalty.
-    pub fn fallback_host(mut self) -> TileScheduler<'m> {
-        self.fallback = true;
-        self
-    }
-
     /// Dispatches `tiles` tiles through the policy and joins them all.
     ///
     /// The closure runs once per tile (in scheduler-determined order —
@@ -392,12 +314,14 @@ impl<'m> TileScheduler<'m> {
     ///
     /// # Errors
     ///
-    /// Fails if the lane range does not exist on the machine, if the
-    /// tuned cache cannot be built, or with the first tile error (by
-    /// tile index) the closure returned. An injected fault the
-    /// recovery layer could not absorb (retries exhausted without
-    /// [`TileScheduler::fallback_host`], or every lane dead) surfaces
-    /// as [`SimError::Fault`].
+    /// Fails with [`SimError::BadConfig`] if the offload builder
+    /// declared gather plans (gather per tile with
+    /// [`AccelCtx::gather`] instead) or the lane range does not exist
+    /// on the machine. Otherwise fails if the tuned cache cannot be
+    /// built, or with the first tile error (by tile index) the closure
+    /// returned. An injected fault the recovery layer could not absorb
+    /// (retries exhausted without [`Recoverable::fallback_host`], or
+    /// every lane dead) surfaces as [`SimError::Fault`].
     pub fn run_tiles<R>(
         self,
         tiles: u32,
@@ -411,37 +335,24 @@ impl<'m> TileScheduler<'m> {
             cache,
             policy,
             steal_cost,
-            faults,
-            retries,
-            backoff,
-            fallback,
+            recovery,
             modes,
+            gathers,
         } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
-        let lane_count = accels.unwrap_or_else(|| machine.accel_count().saturating_sub(base));
-        if lane_count == 0
-            || u32::from(base) + u32::from(lane_count) > u32::from(machine.accel_count())
-        {
+        if gathers {
             return Err(SimError::BadConfig {
-                reason: format!(
-                    "scheduler lanes {base}..{} exceed the machine's {} accelerators",
-                    u32::from(base) + u32::from(lane_count),
-                    machine.accel_count()
-                ),
+                reason: "gather plans declared on the offload builder do not fan out over \
+                         scheduled tiles; gather per tile with AccelCtx::gather instead"
+                    .into(),
             });
         }
-        let lanes: Vec<u16> = (base..base + lane_count).collect();
-        let t0 = machine.host_now();
-        let s0 = *machine.stats();
+        let exec = Exec::start(machine, recovery);
+        let count = accels.unwrap_or_else(|| machine.accel_count().saturating_sub(base));
+        let lanes: Vec<u16> =
+            lane_range(machine, "scheduler lanes", base, usize::from(count))?.collect();
+        let (t0, fallback) = (exec.t0, exec.recovery.fallback);
         let mut dispatches: Vec<Dispatch<R>> = Vec::with_capacity(tiles as usize);
         let mut steals = 0u32;
-        let mut steal_cycles = 0u64;
-        let mut evicted: Vec<u16> = Vec::new();
-        // Tiles stranded by total accelerator loss, awaiting the host
-        // fallback (joined tiles that exhausted retries join them below).
-        let mut stranded: Vec<(u32, u16)> = Vec::new();
 
         // One launch, shared by every policy: run the tile (stolen
         // tiles pay the grab first, retried tiles their backoff) and
@@ -460,29 +371,19 @@ impl<'m> TileScheduler<'m> {
                     if stolen_from.is_some() {
                         ctx.compute(steal_cost);
                     }
-                    run_with_retries(ctx, tile, retries, backoff, &mut f)
+                    run_with_retries(ctx, tile, &exec.recovery, &mut f)
                 })?;
             if let Some(victim) = stolen_from {
                 machine.sched_note_steal(handle.start(), lane, victim, tile, steal_cost);
                 steals += 1;
-                steal_cycles += steal_cost;
             }
             machine.sched_note_run(handle.start(), lane, tile, handle.end(), stolen_from);
-            Ok(Dispatch { tile, handle })
+            Ok((tile, handle))
         };
 
-        match policy {
+        let (evicted, stranded) = match policy {
             SchedPolicy::Static => {
-                let mut queues: Vec<(u16, VecDeque<u32>)> = lanes
-                    .iter()
-                    .copied()
-                    .zip(static_split(tiles, &lanes))
-                    .collect();
-                for (lane, queue) in &queues {
-                    for &tile in queue {
-                        machine.sched_note_enqueue(t0, *lane, tile);
-                    }
-                }
+                let mut queues = Queues::split(machine, &lanes, tiles, t0);
                 // Sweep the lanes in order, popping one front tile per
                 // lane per pass — position-major launch order: the
                 // first tile of each lane, then the second of each, …
@@ -491,58 +392,39 @@ impl<'m> TileScheduler<'m> {
                 let mut remaining = tiles;
                 'dispatch: while remaining > 0 {
                     let mut i = 0;
-                    while i < queues.len() {
-                        let Some(tile) = queues[i].1.pop_front() else {
+                    while i < queues.lanes.len() {
+                        let Some(tile) = queues.lanes[i].1.pop_front() else {
                             i += 1;
                             continue;
                         };
-                        let lane = queues[i].0;
-                        match launch(machine, lane, tile, None) {
+                        match launch(machine, queues.lanes[i].0, tile, None) {
                             Ok(d) => {
                                 dispatches.push(d);
                                 remaining -= 1;
                                 i += 1;
                             }
                             Err(SimError::Fault(FaultError::AccelDead { .. })) => {
-                                let (dead, mut orphans) = queues.remove(i);
-                                orphans.push_front(tile);
-                                evicted.push(dead);
-                                machine.recovery_note_evict(
-                                    machine.host_now(),
-                                    dead,
-                                    orphans.len() as u32,
-                                );
-                                if queues.is_empty() {
-                                    if !fallback {
-                                        return Err(FaultError::AccelDead { accel: dead }.into());
-                                    }
-                                    stranded.extend(orphans.into_iter().map(|t| (t, dead)));
+                                // The removal slides the next lane into
+                                // slot i, so the sweep continues
+                                // without skipping it.
+                                queues.lanes[i].1.push_front(tile);
+                                if !queues.evict(machine, i, fallback)? {
                                     break 'dispatch;
-                                }
-                                // Round-robin the orphans over the
-                                // survivors; the removal already slid
-                                // the next lane into slot i, so this
-                                // sweep continues without skipping it.
-                                let survivors = queues.len();
-                                for (k, t) in orphans.into_iter().enumerate() {
-                                    let (lane, queue) = &mut queues[k % survivors];
-                                    queue.push_back(t);
-                                    let lane = *lane;
-                                    machine.sched_note_enqueue(machine.host_now(), lane, t);
                                 }
                             }
                             Err(e) => return Err(e),
                         }
                     }
                 }
+                (queues.evicted, queues.stranded)
             }
             SchedPolicy::ShortestQueue => {
                 let mut live = lanes.clone();
+                let mut evicted = Vec::new();
+                let mut stranded = Vec::new();
                 for tile in 0..tiles {
                     loop {
-                        let Some(&lane) = live.iter().min_by_key(|&&l| {
-                            machine.accel_free_at(l).expect("lane checked above")
-                        }) else {
+                        let Some(&lane) = live.iter().min_by_key(|&&l| free_at(machine, l)) else {
                             // Every lane is dead; the last eviction is
                             // the fault that stranded this tile.
                             let dead = *evicted.last().expect("emptied by eviction");
@@ -570,34 +452,23 @@ impl<'m> TileScheduler<'m> {
                         }
                     }
                 }
+                (evicted, stranded)
             }
             SchedPolicy::WorkStealing => {
-                let mut queues: Vec<(u16, VecDeque<u32>)> = lanes
-                    .iter()
-                    .copied()
-                    .zip(static_split(tiles, &lanes))
-                    .collect();
-                for (lane, queue) in &queues {
-                    for &tile in queue {
-                        machine.sched_note_enqueue(t0, *lane, tile);
-                    }
-                }
+                let mut queues = Queues::split(machine, &lanes, tiles, t0);
                 let mut pending = tiles;
                 while pending > 0 {
+                    let deques = &mut queues.lanes;
                     // Lanes in becomes-free order; the first that can
                     // act (own work, or a profitable steal) dispatches.
                     // The most-loaded lane can always pop its own
                     // front, so one pass always picks something.
-                    let mut order: Vec<usize> = (0..queues.len()).collect();
-                    order.sort_by_key(|&i| {
-                        machine
-                            .accel_free_at(queues[i].0)
-                            .expect("lane checked above")
-                    });
+                    let mut order: Vec<usize> = (0..deques.len()).collect();
+                    order.sort_by_key(|&i| free_at(machine, deques[i].0));
                     let next_floor = machine.host_now() + machine.cost().offload_launch;
                     let mut choice: Option<(usize, u32, Option<usize>)> = None;
                     for &i in &order {
-                        if let Some(tile) = queues[i].1.pop_front() {
+                        if let Some(tile) = deques[i].1.pop_front() {
                             choice = Some((i, tile, None));
                             break;
                         }
@@ -607,21 +478,15 @@ impl<'m> TileScheduler<'m> {
                         // it strictly before the victim is even free.
                         // That bound keeps every stolen tile's end at
                         // or before its static end.
-                        let thief_free = machine
-                            .accel_free_at(queues[i].0)
-                            .expect("lane checked above");
-                        let thief_eff = thief_free.max(next_floor);
+                        let thief_eff = free_at(machine, deques[i].0).max(next_floor);
                         let victim = order
                             .iter()
                             .rev()
                             .copied()
-                            .find(|&j| j != i && !queues[j].1.is_empty());
+                            .find(|&j| j != i && !deques[j].1.is_empty());
                         if let Some(j) = victim {
-                            let victim_free = machine
-                                .accel_free_at(queues[j].0)
-                                .expect("lane checked above");
-                            if thief_eff + steal_cost < victim_free {
-                                let tile = queues[j].1.pop_back().expect("checked non-empty");
+                            if thief_eff + steal_cost < free_at(machine, deques[j].0) {
+                                let tile = deques[j].1.pop_back().expect("checked non-empty");
                                 choice = Some((i, tile, Some(j)));
                                 break;
                             }
@@ -629,71 +494,48 @@ impl<'m> TileScheduler<'m> {
                     }
                     let (i, tile, victim) =
                         choice.expect("some live lane always owns a runnable tile");
-                    let lane = queues[i].0;
-                    match launch(machine, lane, tile, victim.map(|j| queues[j].0)) {
+                    let lane = deques[i].0;
+                    match launch(machine, lane, tile, victim.map(|j| deques[j].0)) {
                         Ok(d) => {
                             dispatches.push(d);
                             pending -= 1;
                         }
                         Err(SimError::Fault(FaultError::AccelDead { .. })) => {
-                            // Put the tile back where it came from,
-                            // then evict the dead lane and round-robin
-                            // its deque over the survivors (whose
-                            // thieves rebalance it from there).
+                            // Put the tile back where it came from; the
+                            // survivors' thieves rebalance the dead
+                            // lane's deque from there.
                             match victim {
-                                Some(j) => queues[j].1.push_back(tile),
-                                None => queues[i].1.push_front(tile),
+                                Some(j) => deques[j].1.push_back(tile),
+                                None => deques[i].1.push_front(tile),
                             }
-                            let (dead, orphans) = queues.remove(i);
-                            evicted.push(dead);
-                            machine.recovery_note_evict(
-                                machine.host_now(),
-                                dead,
-                                orphans.len() as u32,
-                            );
-                            if queues.is_empty() {
-                                if !fallback {
-                                    return Err(FaultError::AccelDead { accel: dead }.into());
-                                }
-                                stranded.extend(orphans.into_iter().map(|t| (t, dead)));
+                            if !queues.evict(machine, i, fallback)? {
                                 break;
-                            }
-                            let survivors = queues.len();
-                            for (k, t) in orphans.into_iter().enumerate() {
-                                let (lane, queue) = &mut queues[k % survivors];
-                                queue.push_back(t);
-                                let lane = *lane;
-                                machine.sched_note_enqueue(machine.host_now(), lane, t);
                             }
                         }
                         Err(e) => return Err(e),
                     }
                 }
+                (queues.evicted, queues.stranded)
             }
-        }
+        };
 
         // Join in tile order for every policy: results are
         // policy-independent, and the host-clock accounting matches
         // the hand-rolled dispatch-then-join-in-order frame loop.
-        dispatches.sort_by_key(|d| d.tile);
-        let mut runs: Vec<(u16, u32, u64, u64)> = dispatches
+        dispatches.sort_by_key(|&(tile, _)| tile);
+        let mut runs: Vec<LaneSpan> = dispatches
             .iter()
-            .map(|d| (d.handle.accel(), d.tile, d.handle.start(), d.handle.end()))
+            .map(|(_, h)| (h.accel(), h.start(), h.end()))
             .collect();
-        let mut results: Vec<Option<R>> = Vec::with_capacity(tiles as usize);
-        results.resize_with(tiles as usize, || None);
+        let mut results: Vec<Option<R>> = (0..tiles).map(|_| None).collect();
         let mut failed: Vec<(u32, u16)> = stranded;
         let mut first_err: Option<SimError> = None;
-        for d in dispatches {
-            let accel = d.handle.accel();
-            match machine.join(d.handle) {
-                Ok(r) => results[d.tile as usize] = Some(r),
-                Err(SimError::Fault(_)) if fallback => failed.push((d.tile, accel)),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+        for (tile, handle) in dispatches {
+            let accel = handle.accel();
+            match machine.join(handle) {
+                Ok(r) => results[tile as usize] = Some(r),
+                Err(SimError::Fault(_)) if fallback => failed.push((tile, accel)),
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
         if let Some(e) = first_err {
@@ -701,12 +543,10 @@ impl<'m> TileScheduler<'m> {
         }
 
         // Last resort: re-run every unrecovered tile on the host, in
-        // tile order, at the cost model's honest fallback penalty.
+        // tile order.
         failed.sort_by_key(|&(tile, _)| tile);
         for (tile, accel) in failed {
-            machine.recovery_note_fallback(machine.host_now(), accel, tile);
-            let r =
-                machine.run_host_fallback(accel, label, modes.clone(), |ctx| f(ctx, tile))??;
+            let r = host_fallback(machine, accel, tile, label, modes.clone(), &mut f)?;
             results[tile as usize] = Some(r);
         }
         let results: Vec<R> = results
@@ -714,121 +554,29 @@ impl<'m> TileScheduler<'m> {
             .map(|r| r.expect("every tile either resolved or errored out above"))
             .collect();
 
-        // Reconstruct per-lane occupancy and note the idle gaps the
-        // trace's scheduler lanes render (zero simulated cost).
-        let finished_at = runs.iter().map(|&(_, _, _, end)| end).max().unwrap_or(t0);
-        runs.sort_by_key(|&(accel, _, start, _)| (accel, start));
-        let mut lane_reports = Vec::with_capacity(lanes.len());
-        for &lane in &lanes {
-            let mut cursor = t0;
-            let mut busy = 0u64;
-            let mut count = 0u32;
-            for &(accel, _, start, end) in runs.iter().filter(|&&(a, ..)| a == lane) {
-                debug_assert_eq!(accel, lane);
-                if start > cursor {
-                    machine.sched_note_idle(cursor, lane, start);
-                }
-                busy += end - start;
-                count += 1;
-                cursor = cursor.max(end);
-            }
-            if finished_at > cursor {
-                machine.sched_note_idle(cursor, lane, finished_at);
-            }
-            lane_reports.push(LaneReport {
-                accel: lane,
-                tiles: count,
-                busy,
-                idle: finished_at.saturating_sub(t0).saturating_sub(busy),
-            });
+        // Note the idle gaps the trace's scheduler lanes render (zero
+        // simulated cost).
+        let (run, gaps) = exec.finish(machine, lanes.iter().map(|&l| (l, label)), &mut runs);
+        for (lane, from, until) in gaps {
+            machine.sched_note_idle(from, lane, until);
         }
-
-        let s1 = *machine.stats();
         let report = SchedReport {
             policy,
             tiles,
-            accels: lane_count,
-            cycles: machine.host_now() - t0,
-            finished_at,
-            lanes: lane_reports,
+            run,
             steals,
-            steal_cycles,
-            faults: s1.faults_injected - s0.faults_injected,
-            retries: s1.recovery_retries - s0.recovery_retries,
-            fallbacks: s1.recovery_fallbacks - s0.recovery_fallbacks,
+            steal_cycles: u64::from(steals) * steal_cost,
             evicted,
         };
         Ok((results, report))
     }
 }
 
-/// Runs one tile with the retry/backoff recovery loop: a transient
-/// fault (returned by the closure, or left sticky by a tag timeout)
-/// releases the tile's local-store allocations, quiesces the DMA
-/// engine, charges the backoff on the accelerator clock, and re-runs —
-/// up to `retries` times before the fault becomes the tile's result.
-/// Shared with the pipeline runtime (`crate::pipeline`), which passes a
-/// chunk index as `tile`.
-pub(crate) fn run_with_retries<R>(
-    ctx: &mut AccelCtx<'_>,
-    tile: u32,
-    retries: u32,
-    backoff: u64,
-    f: &mut dyn FnMut(&mut AccelCtx<'_>, u32) -> Result<R, SimError>,
-) -> Result<R, SimError> {
-    let mut attempt = 0u32;
-    loop {
-        let mark = ctx.local_alloc_mark();
-        let puts = ctx.put_journal_mark();
-        let err = match f(ctx, tile) {
-            Ok(r) => match ctx.take_fault() {
-                // A sticky timeout the closure never checked still
-                // fails the attempt: its data may be incomplete.
-                Some(fault) => SimError::from(fault),
-                None => {
-                    ctx.put_journal_commit(puts);
-                    return Ok(r);
-                }
-            },
-            Err(e) => e,
-        };
-        // Either way the failed attempt's in-flight transfers must
-        // land before anyone reuses this local store — the retry, the
-        // next tile on this lane, or the host fallback. A timeout
-        // rolled during the drain belongs to the same failed attempt,
-        // so it must not poison what comes next.
-        ctx.dma_wait_all();
-        ctx.take_fault();
-        // Void the failed attempt's main-memory puts: an in-place tile
-        // reads the range it writes, so whoever re-runs it — the retry
-        // here or the host fallback after us — must see the input the
-        // failed attempt started from, not its partial (or scribbled)
-        // output.
-        ctx.put_journal_rollback(puts)?;
-        let transient = matches!(&err, SimError::Fault(fault) if fault.is_transient());
-        if !transient || attempt >= retries {
-            return Err(err);
-        }
-        ctx.local_alloc_restore(mark);
-        attempt += 1;
-        ctx.recovery_note_retry(tile, attempt, backoff);
-        ctx.compute(backoff);
-    }
-}
-
-/// Block split of `tiles` over the lanes: lane `a` of `A` owns tiles
-/// `[T*a/A, T*(a+1)/A)`, front-to-back.
-fn static_split(tiles: u32, lanes: &[u16]) -> Vec<VecDeque<u32>> {
-    let a = lanes.len() as u32;
-    (0..a)
-        .map(|i| (tiles * i / a..tiles * (i + 1) / a).collect())
-        .collect()
-}
-
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // fixtures hold a few hundred elements at most
 mod tests {
     use super::*;
-    use simcell::{EventKind, MachineConfig};
+    use simcell::{EventKind, FaultPlan, MachineConfig};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::default()).unwrap()
@@ -867,10 +615,10 @@ mod tests {
         }
         let (sched_cycles, report) = run_policy(SchedPolicy::Static, &costs, 4);
         assert_eq!(sched_cycles, by_hand.host_now());
-        assert_eq!(report.cycles, sched_cycles);
+        assert_eq!(report.run.cycles, sched_cycles);
         assert_eq!(report.steals, 0);
-        assert_eq!(report.lanes.len(), 4);
-        assert!(report.lanes.iter().all(|l| l.tiles == 1));
+        assert_eq!(report.run.lanes.len(), 4);
+        assert!(report.run.lanes.iter().all(|l| l.items == 1));
     }
 
     #[test]
@@ -910,7 +658,7 @@ mod tests {
         let (static_cycles, _) = run_policy(SchedPolicy::Static, &costs, 3);
         let (sq_cycles, report) = run_policy(SchedPolicy::ShortestQueue, &costs, 3);
         assert!(sq_cycles < static_cycles);
-        assert_eq!(report.lanes.iter().map(|l| l.tiles).sum::<u32>(), 6);
+        assert_eq!(report.run.lanes.iter().map(|l| l.items).sum::<u32>(), 6);
     }
 
     #[test]
@@ -966,7 +714,11 @@ mod tests {
         assert_eq!(runs, 4);
         assert!(idles > 0, "lane 1 finishes early and must show an idle gap");
         // Lane 0 carries the hot tile; the report calls that out.
-        assert!(report.imbalance() > 1.2, "imbalance {}", report.imbalance());
+        assert!(
+            report.run.imbalance() > 1.2,
+            "imbalance {}",
+            report.run.imbalance()
+        );
         let stats = m.stats();
         assert_eq!(stats.sched_tiles, 4);
         assert!(stats.sched_idle_cycles > 0);
@@ -1053,17 +805,17 @@ mod tests {
             .unwrap();
         assert_eq!(results, values, "retried tiles must re-fetch clean data");
         assert!(
-            report.faults > 0,
+            report.run.faults > 0,
             "a 50% corrupt rate must fire over 12 DMAs"
         );
-        assert!(report.retries > 0);
-        assert_eq!(report.retries, m.stats().recovery_retries);
+        assert!(report.run.retries > 0);
+        assert_eq!(report.run.retries, m.stats().recovery_retries);
         assert_eq!(
             m.stats().recovery_backoff_cycles,
-            report.retries * 800,
+            report.run.retries * 800,
             "every retry charges the configured backoff"
         );
-        assert_eq!(report.fallbacks, 0);
+        assert_eq!(report.run.fallbacks, 0);
     }
 
     #[test]
@@ -1083,8 +835,11 @@ mod tests {
             .run_tiles(6, body)
             .unwrap();
         assert_eq!(results, values, "host fallback runs fault-free");
-        assert_eq!(report.fallbacks, 6);
-        assert_eq!(report.retries, 12, "2 retries per tile before giving up");
+        assert_eq!(report.run.fallbacks, 6);
+        assert_eq!(
+            report.run.retries, 12,
+            "2 retries per tile before giving up"
+        );
         assert!(m.stats().recovery_fallback_cycles > 0);
     }
 
@@ -1118,8 +873,8 @@ mod tests {
                 m.stats().recovery_evictions,
                 "{policy:?}"
             );
-            let ran: u32 = report.lanes.iter().map(|l| l.tiles).sum();
-            assert_eq!(ran as u64 + report.fallbacks, 16, "{policy:?}");
+            let ran: u32 = report.run.lanes.iter().map(|l| l.items).sum();
+            assert_eq!(ran as u64 + report.run.fallbacks, 16, "{policy:?}");
         }
     }
 
@@ -1155,8 +910,8 @@ mod tests {
             .unwrap();
         assert_eq!(results, vec![100, 101, 102, 103, 104, 105]);
         assert_eq!(report.evicted.len(), 3, "every lane died");
-        assert_eq!(report.fallbacks, 6, "every tile degraded to the host");
-        assert_eq!(report.lanes.iter().map(|l| l.tiles).sum::<u32>(), 0);
+        assert_eq!(report.run.fallbacks, 6, "every tile degraded to the host");
+        assert_eq!(report.run.lanes.iter().map(|l| l.items).sum::<u32>(), 0);
     }
 
     #[test]
@@ -1178,7 +933,7 @@ mod tests {
                     Ok(())
                 })
                 .unwrap();
-            (m.host_now(), report.cycles, report.steals)
+            (m.host_now(), report.run.cycles, report.steals)
         };
         assert_eq!(
             run(None),
@@ -1222,8 +977,45 @@ mod tests {
             .run_tiles(0, |_, _| Ok(()))
             .unwrap();
         assert!(results.is_empty());
-        assert_eq!(report.cycles, 0);
+        assert_eq!(report.run.cycles, 0);
         assert_eq!(m.host_now(), before);
-        assert_eq!(report.imbalance(), 1.0);
+        assert_eq!(report.run.imbalance(), 1.0);
+    }
+
+    #[test]
+    fn builder_gathers_are_rejected_instead_of_dropped() {
+        let mut m = machine();
+        let base = m.alloc_main_slice::<u32>(8).unwrap();
+        let before = m.host_now();
+        let err = m
+            .offload(0)
+            .gather(base, 4, vec![3, 1])
+            .sched(SchedPolicy::Static)
+            .accels(2)
+            .run_tiles(2, |ctx, _| Ok(ctx.gathered(0)))
+            .unwrap_err();
+        match err {
+            SimError::BadConfig { reason } => {
+                assert!(reason.contains("AccelCtx::gather"), "{reason}")
+            }
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
+        assert_eq!(m.host_now(), before, "nothing launched");
+    }
+
+    #[test]
+    fn block_ranges_partition_without_wrapping() {
+        for (n, parts) in [(70_000u32, 70_000u32), (u32::MAX, 7), (5, 8), (0, 3)] {
+            let mut next = 0u32;
+            for part in 0..parts {
+                let range = block_range(n, part, parts);
+                assert_eq!(range.start, next, "n={n} parts={parts} part={part}");
+                assert!(range.len() <= (n / parts + 1) as usize);
+                next = range.end;
+            }
+            assert_eq!(next, n, "n={n} parts={parts}");
+        }
+        // In range, the split is the classic 32-bit formula.
+        assert_eq!(block_range(10, 2, 3), 10 * 2 / 3..10 * 3 / 3);
     }
 }

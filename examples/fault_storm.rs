@@ -75,7 +75,11 @@ fn main() -> Result<(), SimError> {
         SchedPolicy::WorkStealing,
     ] {
         let (clean, clean_world) = frame(policy, None)?;
-        println!("  {} (faultless: {} cycles)", policy.name(), clean.cycles);
+        println!(
+            "  {} (faultless: {} cycles)",
+            policy.name(),
+            clean.run.cycles
+        );
         println!("    rate    cycles     overhead   faults  retries  fallbacks  evicted");
         for rate in [0.0f32, 0.02, 0.05, 0.10] {
             let (report, world) = frame(policy, Some(rate))?;
@@ -86,11 +90,11 @@ fn main() -> Result<(), SimError> {
             assert_eq!(world, clean_world, "recovery must be exact");
             println!(
                 "    {rate:.2}   {:>8}   {:>7.3}x   {:>6}  {:>7}  {:>9}  {:>7}",
-                report.cycles,
-                report.cycles as f64 / clean.cycles as f64,
-                report.faults,
-                report.retries,
-                report.fallbacks,
+                report.run.cycles,
+                report.run.cycles as f64 / clean.run.cycles as f64,
+                report.run.faults,
+                report.run.retries,
+                report.run.fallbacks,
                 report.evicted.len(),
             );
         }
@@ -121,10 +125,10 @@ fn main() -> Result<(), SimError> {
     println!(
         "Death-heavy storm (35% launch deaths on 4 lanes, 16 tiles): {} cycles, \
          {} lanes evicted {:?}, {} tiles fell back to the host.",
-        report.cycles,
+        report.run.cycles,
         report.evicted.len(),
         report.evicted,
-        report.fallbacks,
+        report.run.fallbacks,
     );
     println!(
         "\nSame seed, same storm: re-run this binary and every number above is identical.\n\

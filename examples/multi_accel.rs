@@ -76,10 +76,10 @@ fn main() -> Result<(), SimError> {
         println!(
             "  {:<14}   {:>9}   {:>8.2}x   {:>6}   {:>9.2}",
             policy.name(),
-            report.cycles,
-            st.cycles as f64 / report.cycles as f64,
+            report.run.cycles,
+            st.run.cycles as f64 / report.run.cycles as f64,
             report.steals,
-            report.imbalance(),
+            report.run.imbalance(),
         );
     }
 

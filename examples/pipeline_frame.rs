@@ -63,8 +63,8 @@ fn main() -> Result<(), SimError> {
         );
         println!(
             "    {buffers:>7}   {:>6}   {:>6.3}x   {:>10}   {:>12}",
-            report.cycles,
-            seq_cycles as f64 / report.cycles as f64,
+            report.run.cycles,
+            seq_cycles as f64 / report.run.cycles as f64,
             report.input_wait_cycles,
             report.backpressure_cycles,
         );
@@ -76,10 +76,10 @@ fn main() -> Result<(), SimError> {
     let (mut machine, entities) = build_world()?;
     let report = staged_frame_pipeline(&mut machine, &entities, CHUNK, 2)?;
     println!("\n  lane report (buffers = 2):");
-    for lane in &report.lanes {
+    for lane in &report.run.lanes {
         println!(
             "    accel {} [{:>7}]: {} chunks, {} busy cycles, {} idle",
-            lane.accel, lane.name, lane.chunks, lane.busy, lane.idle
+            lane.accel, lane.name, lane.items, lane.busy, lane.idle
         );
     }
 
@@ -109,7 +109,7 @@ fn main() -> Result<(), SimError> {
     println!(
         "\n  under a 3% fault storm: {} cycles ({} faults, {} retries, {} host \
          fallbacks) — world still bit-identical.",
-        stormy.cycles, stormy.faults, stormy.retries, stormy.fallbacks,
+        stormy.run.cycles, stormy.run.faults, stormy.run.retries, stormy.run.fallbacks,
     );
     println!(
         "\nSame seeds, same schedule: re-run this binary and every number above is \

@@ -352,7 +352,7 @@ fn recovering_run(
     assert_eq!(machine.races_detected(), 0);
     let world = entities.snapshot(&machine).unwrap();
     let trace = chrome_trace_json(machine.events());
-    (trace, world, report.cycles, report.faults)
+    (trace, world, report.run.cycles, report.run.faults)
 }
 
 /// The tentpole determinism property: an identical `FaultPlan` seed
