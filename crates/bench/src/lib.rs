@@ -9,11 +9,11 @@
 //! depend on the cost model and are not the claim.
 //!
 //! Run `cargo run -p bench --bin paper_tables` for the full tables (add
-//! `--markdown` for EXPERIMENTS.md-ready output), `cargo bench` for the
-//! wall-time suites of the underlying kernels, or `cargo run --release
-//! -p bench --bin bench_throughput` for the hot-path throughput report
-//! (`BENCH_throughput.json`). `paper_tables --trace <file>` / `--stats`
-//! capture a profiling trace instead of tables (see `PROFILING.md`).
+//! `--markdown` for EXPERIMENTS.md-ready output). `paper_tables --trace
+//! <file>` / `--stats` capture a profiling trace instead of tables (see
+//! `PROFILING.md`). Host wall time is measured by the separate
+//! `perfbench` crate (`perfbench/README.md`), which times these
+//! experiments and the layers under them on the real code paths.
 //!
 //! # Example
 //!
@@ -29,12 +29,8 @@
 
 pub mod autotune;
 pub mod exp;
-pub mod farmlane;
-pub mod hotpath;
-pub mod perfbudget;
 pub mod profile;
 pub mod table;
-pub mod timing;
 
 pub use exp::run_all;
 pub use table::Table;

@@ -129,6 +129,49 @@ fn conservative_flush_of_untouched_reads_buffer_is_elided() {
     assert_eq!(before, after);
 }
 
+#[test]
+fn reads_declaration_elides_the_flush_in_exact_cycles() {
+    // A 2048-word read-only tile whose generic body rewrites eight
+    // header slots with the values they hold, then flushes the buffer.
+    // Undeclared, the flush is a real DMA put; `reads`-declared, the
+    // runtime proves the buffer unchanged and elides it.
+    const WORDS: u32 = 2048;
+    let run = |declare: bool| -> (u64, u64) {
+        let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
+        let remote = machine.alloc_main_slice::<u32>(WORDS).expect("fits");
+        let values: Vec<u32> = (0..WORDS).map(|v| v.wrapping_mul(7)).collect();
+        machine
+            .main_mut()
+            .write_pod_slice(remote, &values)
+            .expect("fits");
+        let mut builder = machine.offload(0).label("read-only tile");
+        if declare {
+            builder = builder.reads(remote, WORDS * 4);
+        }
+        let handle = builder
+            .spawn(move |ctx| {
+                let mut tile = ArrayAccessor::<u32>::fetch(ctx, remote, WORDS)?;
+                for i in 0..8 {
+                    let v = tile.get(ctx, i)?;
+                    tile.set(ctx, i, &v)?;
+                }
+                tile.write_back(ctx)
+            })
+            .expect("accel 0 exists");
+        let elapsed = handle.elapsed();
+        machine.join(handle).expect("tile succeeds");
+        (elapsed, machine.memory_hash())
+    };
+    let (undeclared, hash_undeclared) = run(false);
+    let (declared, hash_declared) = run(true);
+    assert_eq!(
+        hash_undeclared, hash_declared,
+        "eliding the flush must not change a single byte"
+    );
+    assert_eq!(undeclared, 2_048);
+    assert_eq!(declared, 1_072);
+}
+
 /// Runs the double-buffered recovering AI frame with a caller-chosen
 /// fault seed, with or without mode declarations.
 fn buffered_frame(

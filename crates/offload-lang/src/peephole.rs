@@ -33,9 +33,10 @@
 //! The fused handler charges exactly the cycles the unfused run
 //! charges and bumps the retired-instruction counter by the run
 //! length, so cycle counts, instruction counts, traces and world
-//! hashes are bit-identical with the pass on or off. `bench_throughput`
-//! arbitrates that the pass actually pays wall-clock rent (the
-//! `vm_superinstr` lane).
+//! hashes are bit-identical with the pass on or off; the differential
+//! suite (`tests/differential.rs`) pins that on a random corpus and on
+//! a call-heavy program with exact cycle and instruction counts.
+//! `perfbench` times the fused VM the compiler ships (`vm.ns_per_instr`).
 
 use crate::bytecode::{ArithF, ArithI, Instr, SpaceTag, ValType};
 

@@ -16,7 +16,9 @@
 //!
 //! The test also asserts that fusion actually fires across the corpus
 //! — a peephole pass that silently stopped matching would otherwise
-//! pass every identity check.
+//! pass every identity check. A fixed call-heavy program runs through
+//! the same comparison with its simulated cycles and retired
+//! instructions pinned exactly.
 
 use offload_lang::{compile, Program, Target, Vm};
 use simcell::{chrome_trace_json, Machine, MachineConfig};
@@ -144,51 +146,102 @@ fn gen_program(rng: &mut Rng) -> String {
     )
 }
 
+/// Compiles `source` fused and unfused, runs both with events off and
+/// on, and asserts every observable matches. Returns the fused binary's
+/// superinstruction count and the (simulated cycles, instructions
+/// retired) of the run.
+fn assert_fusion_invisible(case: &str, source: &str) -> (usize, u64, u64) {
+    let fused = compile(source, &Target::cell_like())
+        .map_err(|e| panic!("{case}: compile (fused): {}", e.render(source)))
+        .unwrap();
+    let plain = compile(source, &Target::cell_like().with_superinstructions(false))
+        .map_err(|e| panic!("{case}: compile (plain): {}", e.render(source)))
+        .unwrap();
+    assert_eq!(
+        plain.stats.superinstructions, 0,
+        "{case}: fusion disabled means zero superinstructions"
+    );
+
+    // Fast path (events off): exit, output, cycles, instructions.
+    let (exit_f, out_f, now_f, instrs_f, _) = run(&fused, false);
+    let (exit_p, out_p, now_p, instrs_p, _) = run(&plain, false);
+    assert_eq!(exit_f, exit_p, "{case}: exit value diverged");
+    assert_eq!(out_f, out_p, "{case}: printed output diverged");
+    assert_eq!(now_f, now_p, "{case}: simulated cycles diverged");
+    assert_eq!(instrs_f, instrs_p, "{case}: instruction count diverged");
+
+    // Journalled path (events on): all of the above plus the
+    // Chrome-trace JSON of the full event timeline.
+    let (exit_e, out_e, now_e, instrs_e, trace_f) = run(&fused, true);
+    let (exit_q, out_q, now_q, instrs_q, trace_p) = run(&plain, true);
+    assert_eq!(exit_e, exit_q, "{case}: exit value diverged (events)");
+    assert_eq!(out_e, out_q, "{case}: output diverged (events)");
+    assert_eq!(now_e, now_q, "{case}: cycles diverged (events)");
+    assert_eq!(instrs_e, instrs_q, "{case}: instructions diverged (events)");
+    assert_eq!(trace_f, trace_p, "{case}: chrome trace diverged");
+
+    (fused.stats.superinstructions, now_f, instrs_f)
+}
+
 #[test]
 fn fusion_is_invisible_across_random_corpus() {
     let mut rng = Rng::new(0x0ff1_0ad2_2026);
     let mut fused_total = 0usize;
     for case in 0..24u64 {
         let source = gen_program(&mut rng);
-        let fused = compile(&source, &Target::cell_like())
-            .map_err(|e| panic!("case {case}: compile (fused): {}", e.render(&source)))
-            .unwrap();
-        let plain = compile(&source, &Target::cell_like().with_superinstructions(false))
-            .map_err(|e| panic!("case {case}: compile (plain): {}", e.render(&source)))
-            .unwrap();
-        assert_eq!(
-            plain.stats.superinstructions, 0,
-            "case {case}: fusion disabled means zero superinstructions"
-        );
-        fused_total += fused.stats.superinstructions;
-
-        // Fast path (events off): exit, output, cycles, instructions.
-        let (exit_f, out_f, now_f, instrs_f, _) = run(&fused, false);
-        let (exit_p, out_p, now_p, instrs_p, _) = run(&plain, false);
-        assert_eq!(exit_f, exit_p, "case {case}: exit value diverged");
-        assert_eq!(out_f, out_p, "case {case}: printed output diverged");
-        assert_eq!(now_f, now_p, "case {case}: simulated cycles diverged");
-        assert_eq!(
-            instrs_f, instrs_p,
-            "case {case}: instruction count diverged"
-        );
-
-        // Journalled path (events on): all of the above plus the
-        // Chrome-trace JSON of the full event timeline.
-        let (exit_f, out_f, now_f, instrs_f, trace_f) = run(&fused, true);
-        let (exit_p, out_p, now_p, instrs_p, trace_p) = run(&plain, true);
-        assert_eq!(exit_f, exit_p, "case {case}: exit value diverged (events)");
-        assert_eq!(out_f, out_p, "case {case}: output diverged (events)");
-        assert_eq!(now_f, now_p, "case {case}: cycles diverged (events)");
-        assert_eq!(
-            instrs_f, instrs_p,
-            "case {case}: instructions diverged (events)"
-        );
-        assert_eq!(trace_f, trace_p, "case {case}: chrome trace diverged");
+        let (fused, _, _) = assert_fusion_invisible(&format!("case {case}"), &source);
+        fused_total += fused;
     }
     assert!(
         fused_total > 100,
         "fusion barely fired across the corpus ({fused_total} superinstructions) — \
          the peephole pass or the generator regressed"
     );
+}
+
+/// A call-heavy program: virtual dispatch through a domain, function
+/// calls, and outer accesses inside an offload block, 40 offloads of
+/// 20 virtual calls each.
+const CALL_HEAVY: &str = r#"
+    class Entity {
+        hp: float;
+        virtual fn tick(d: float) { self.hp = self.hp - d; }
+    }
+    class Enemy : Entity {
+        override fn tick(d: float) { self.hp = self.hp - d - d; }
+    }
+    var e: Entity*;
+    var f: Entity*;
+    var total: int;
+
+    fn accumulate(a: int, b: int) -> int { return a + b; }
+
+    fn main() -> int {
+        e = new Enemy;
+        f = new Entity;
+        e.hp = 1000.0;
+        f.hp = 1000.0;
+        let i: int = 0;
+        while i < 40 {
+            offload domain(Entity.tick, Enemy.tick) {
+                let j: int = 0;
+                while j < 10 {
+                    e.tick(1.0);
+                    f.tick(1.0);
+                    j = j + 1;
+                }
+            }
+            total = accumulate(total, i);
+            i = i + 1;
+        }
+        return total;
+    }
+"#;
+
+#[test]
+fn call_heavy_program_keeps_its_exact_cycles_fused_and_unfused() {
+    let (fused, cycles, instrs) = assert_fusion_invisible("call-heavy", CALL_HEAVY);
+    assert!(fused > 0, "the call-heavy program must fuse something");
+    assert_eq!(cycles, 1_922_519, "simulated cycles moved");
+    assert_eq!(instrs, 15_905, "instructions retired moved");
 }

@@ -342,6 +342,38 @@ mod tests {
     }
 
     #[test]
+    fn stream_offload_takes_its_pinned_cycles() {
+        // 4096 words in 256-word chunks with write-back and one compute
+        // cycle per element: the double-buffered stream's exact cost.
+        let mut m = machine();
+        let remote = prepared(&mut m, 4096);
+        let config = StreamConfig {
+            chunk_elems: 256,
+            write_back: true,
+        };
+        let handle = m
+            .offload(0)
+            .spawn(|ctx| {
+                process_stream::<u32, _>(ctx, remote, 4096, config, |ctx, _, chunk| {
+                    for v in chunk.iter_mut() {
+                        *v = v.wrapping_mul(3).wrapping_add(1);
+                    }
+                    ctx.compute(chunk.len() as u64);
+                    Ok(())
+                })
+            })
+            .unwrap();
+        let elapsed = handle.elapsed();
+        m.join(handle).unwrap();
+        assert_eq!(elapsed, 25_312);
+        let out = m.main().read_pod_slice::<u32>(remote, 4096).unwrap();
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v == (i as u32).wrapping_mul(3).wrapping_add(1)));
+    }
+
+    #[test]
     fn streaming_is_race_free() {
         let mut m = machine();
         let remote = prepared(&mut m, 1000);

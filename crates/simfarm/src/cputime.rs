@@ -1,14 +1,12 @@
 //! Per-thread CPU time, for honest scaling numbers on shared boxes.
 //!
-//! A farm bench that only reads the wall clock can under-report scaling
-//! badly on CI runners and containers that expose fewer cores than the
-//! farm has workers (the extreme case: a 1-CPU cgroup, where four
-//! workers are time-sliced onto one core and wall time cannot improve
-//! at all). The quantity that *is* meaningful there is the worker
-//! critical path — the largest per-worker CPU time — which is what the
-//! `bench_throughput --farm` lane divides into total work. This module
-//! supplies the raw ingredient: cumulative CPU nanoseconds consumed by
-//! the calling thread.
+//! On CI runners and containers that expose fewer cores than the farm
+//! has workers, wall time alone cannot tell a busy worker from one
+//! that was time-sliced off its core. CPU time per worker can: the farm
+//! sums it into [`crate::Farm::worker_busy_nanos`], which `perfbench`'s
+//! `farm.worker_busy_frac` lane turns into the share of worker threads
+//! that ran worlds. This module supplies the raw ingredient: cumulative
+//! CPU nanoseconds consumed by the calling thread.
 
 /// Cumulative CPU time consumed by the calling thread, in nanoseconds.
 ///
