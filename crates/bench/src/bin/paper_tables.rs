@@ -34,181 +34,109 @@
 use bench::exp;
 use bench::profile::{traced_e2_frame, traced_fault_frame, traced_pipe_frame, traced_sched_frame};
 use bench::Table;
-use simcell::{chrome_trace_json, parse_chrome_trace};
+use simcell::{chrome_trace_json, parse_chrome_trace, EventKind, Lane, Layer, Machine};
 
 /// An experiment id paired with its runner.
 type Runner = (&'static str, fn(bool) -> Table);
 
-/// Runs a traced E2 frame and writes the Chrome trace JSON to `path`,
-/// then reads the file back and round-trips it through the trace parser
-/// so a write that produced malformed or truncated JSON fails loudly.
-fn write_trace(path: &str) {
-    let (machine, stats) = traced_e2_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    // The export adds `M` (metadata) records for lane names, and each
-    // matched OffloadStart/OffloadEnd pair collapses into one `X`
-    // slice — so the expected payload count is the log length minus
-    // one per completed offload.
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
-    );
-    eprintln!(
-        "wrote {path}: {} events from one offloaded frame ({} host cycles, {} pairs) — \
-         open in https://ui.perfetto.dev (see PROFILING.md)",
-        machine.events().len(),
-        stats.host_cycles,
-        stats.pairs,
-    );
-    write_sched_trace(&suffixed_trace_path(path, "sched"));
-    write_fault_trace(&suffixed_trace_path(path, "faults"));
-    write_pipe_trace(&suffixed_trace_path(path, "pipe"));
-}
+/// One `--trace` capture: the suffix of its file name (`""` for the
+/// main file) and a runner returning the traced machine, the layer
+/// whose lanes the capture exists to show, how many of that layer's
+/// lanes the export must name, and a summary for the log line.
+type TraceFrame = (&'static str, fn() -> (Machine, Layer, usize, String));
 
-/// Derives a sibling trace path written next to the main one:
-/// `e2.json` + `sched` → `e2-sched.json`.
-fn suffixed_trace_path(path: &str, suffix: &str) -> String {
-    match path.strip_suffix(".json") {
-        Some(stem) => format!("{stem}-{suffix}.json"),
-        None => format!("{path}-{suffix}"),
+/// The four frames `--trace` writes, in order.
+const TRACE_FRAMES: [TraceFrame; 4] = [
+    ("", || {
+        let (machine, stats) = traced_e2_frame(true);
+        let what = format!(
+            "one offloaded frame ({} host cycles, {} pairs) — open in https://ui.perfetto.dev \
+             (see PROFILING.md)",
+            stats.host_cycles, stats.pairs
+        );
+        (machine, Layer::Accel, 1, what)
+    }),
+    ("sched", || {
+        let (machine, report) = traced_sched_frame(true);
+        let what = format!(
+            "one work-stealing E15 frame ({} tiles, {} steals) — the scheduler lanes \
+             walkthrough in PROFILING.md reads this file",
+            report.tiles, report.steals
+        );
+        (machine, Layer::Sched, report.run.lanes.len(), what)
+    }),
+    ("faults", || {
+        let (machine, report) = traced_fault_frame(true);
+        let what = format!(
+            "one E16 frame under fire ({} faults, {} retries, {} host fallbacks) — the \
+             faults lane walkthrough in PROFILING.md reads this file",
+            report.run.faults, report.run.retries, report.run.fallbacks
+        );
+        (machine, Layer::Faults, 1, what)
+    }),
+    ("pipe", || {
+        let (machine, report) = traced_pipe_frame(true);
+        let what = format!(
+            "one pipelined E17 staged frame ({} stages x {} chunks, {} input-wait cycles, \
+             {} backpressure cycles) — the pipeline lane walkthrough in PROFILING.md reads \
+             this file",
+            report.run.lanes.len(),
+            report.chunks,
+            report.input_wait_cycles,
+            report.backpressure_cycles
+        );
+        (machine, Layer::Pipe, report.run.lanes.len(), what)
+    }),
+];
+
+/// Runs every [`TRACE_FRAMES`] capture and writes its Chrome trace JSON
+/// next to `path` (`e2.json`, `e2-sched.json`, …), then reads each file
+/// back and round-trips it through the trace parser so a write that
+/// produced malformed or truncated JSON fails loudly.
+fn write_traces(path: &str) {
+    for (suffix, run) in TRACE_FRAMES {
+        let path = match (suffix, path.strip_suffix(".json")) {
+            ("", _) => path.to_string(),
+            (_, Some(stem)) => format!("{stem}-{suffix}.json"),
+            (_, None) => format!("{path}-{suffix}"),
+        };
+        let (machine, layer, lanes, what) = run();
+        let json = chrome_trace_json(machine.events());
+        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        let back =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let parsed = parse_chrome_trace(&back)
+            .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
+        // The export adds `M` (metadata) records for lane names, and each
+        // matched OffloadStart/OffloadEnd pair collapses into one `X`
+        // slice — so the expected payload count is the log length minus
+        // one per completed offload.
+        let payload = parsed.iter().filter(|e| e.ph != 'M').count();
+        let completed_offloads = machine
+            .events()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::OffloadEnd { .. }))
+            .count();
+        assert_eq!(
+            payload,
+            machine.events().len() - completed_offloads,
+            "{path}: parsed payload event count must match the event log"
+        );
+        let named = parsed
+            .iter()
+            .filter(|e| e.ph == 'M' && Lane::of_tid(e.tid).is_some_and(|l| l.layer == layer))
+            .count();
+        assert!(
+            named >= lanes,
+            "{path}: {named} {} lanes named, expected at least {lanes}",
+            layer.name()
+        );
+        eprintln!(
+            "wrote {path}: {} events from {what}",
+            machine.events().len()
+        );
     }
-}
-
-/// Runs one work-stealing E15 frame and writes its Chrome trace —
-/// scheduler lanes included — to `path`, round-tripping it through the
-/// parser with the same payload arithmetic as the main trace (every
-/// scheduler event exports as exactly one payload record).
-fn write_sched_trace(path: &str) {
-    let (machine, report) = traced_sched_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
-    );
-    let sched_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::SCHED_LANE_BASE)
-        .count();
-    assert!(
-        sched_lanes >= report.run.lanes.len(),
-        "{path}: every dispatch lane must be named in the export"
-    );
-    eprintln!(
-        "wrote {path}: {} events from one work-stealing E15 frame ({} tiles, {} steals) — \
-         the scheduler lanes walkthrough in PROFILING.md reads this file",
-        machine.events().len(),
-        report.tiles,
-        report.steals,
-    );
-}
-
-/// Runs one work-stealing E16 frame under a 5% fault plan and writes
-/// its Chrome trace — fault lanes included — to `path`, round-tripping
-/// it through the parser with the same payload arithmetic as the other
-/// traces (every fault and recovery event exports as exactly one
-/// payload record).
-fn write_fault_trace(path: &str) {
-    let (machine, report) = traced_fault_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
-    );
-    let fault_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::FAULT_LANE_BASE)
-        .count();
-    assert!(
-        fault_lanes >= 1,
-        "{path}: a frame under fire must name at least one fault lane"
-    );
-    eprintln!(
-        "wrote {path}: {} events from one E16 frame under fire ({} faults, {} retries, \
-         {} host fallbacks) — the faults lane walkthrough in PROFILING.md reads this file",
-        machine.events().len(),
-        report.run.faults,
-        report.run.retries,
-        report.run.fallbacks,
-    );
-}
-
-/// Runs one pipelined E17 staged frame and writes its Chrome trace —
-/// pipeline lanes included — to `path`, round-tripping it through the
-/// parser with the same payload arithmetic as the other traces (every
-/// pipeline event exports as exactly one payload record).
-fn write_pipe_trace(path: &str) {
-    let (machine, report) = traced_pipe_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
-    );
-    let pipe_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::PIPE_LANE_BASE)
-        .count();
-    assert!(
-        pipe_lanes >= report.run.lanes.len(),
-        "{path}: every pipeline stage lane must be named in the export"
-    );
-    eprintln!(
-        "wrote {path}: {} events from one pipelined E17 staged frame ({} stages x {} chunks, \
-         {} input-wait cycles, {} backpressure cycles) — the pipeline lane walkthrough in \
-         PROFILING.md reads this file",
-        machine.events().len(),
-        report.run.lanes.len(),
-        report.chunks,
-        report.input_wait_cycles,
-        report.backpressure_cycles,
-    );
 }
 
 fn main() {
@@ -220,7 +148,7 @@ fn main() {
             eprintln!("--trace needs a file argument, e.g. --trace e2.json");
             std::process::exit(2);
         };
-        write_trace(path);
+        write_traces(path);
         return;
     }
     if args.iter().any(|a| a == "--stats") {

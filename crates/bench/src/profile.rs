@@ -146,6 +146,7 @@ pub fn traced_pipe_frame(trace: bool) -> (Machine, offload_rt::PipeReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcell::{EventKind, Layer};
 
     #[test]
     fn traced_frame_records_the_figure2_events() {
@@ -177,7 +178,7 @@ mod tests {
             .events()
             .events()
             .iter()
-            .any(|e| matches!(e.kind, simcell::EventKind::SchedSteal { .. })));
+            .any(|e| matches!(e.kind, EventKind::Instant { label: "steal", .. })));
     }
 
     #[test]
@@ -192,16 +193,24 @@ mod tests {
         );
         assert_eq!(stats.pipe_chunks, u64::from(report.chunks));
         let events = machine.events().events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, simcell::EventKind::PipeRun { .. })));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::Slice {
+                label: "s{stage} chunk {chunk}",
+                ..
+            }
+        )));
         assert!(
             report.input_wait_cycles > 0,
             "the staged frame's uneven stage costs must stall somewhere: {report:?}"
         );
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, simcell::EventKind::PipeWait { .. })));
+        assert!(events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::Slice {
+                label: "input wait",
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -213,9 +222,9 @@ mod tests {
         let events = machine.events().events();
         assert!(events
             .iter()
-            .any(|e| matches!(e.kind, simcell::EventKind::FaultInjected { .. })));
+            .any(|e| e.lane().is_some_and(|l| l.layer == Layer::Faults)));
         assert!(events
             .iter()
-            .any(|e| matches!(e.kind, simcell::EventKind::RecoveryApplied { .. })));
+            .any(|e| matches!(e.kind, EventKind::Instant { label: "retry", .. })));
     }
 }

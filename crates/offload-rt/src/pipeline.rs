@@ -433,7 +433,7 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                 popped[k][i as usize] = pop;
                 pushed[k][i as usize] = push;
                 if k + 1 == stages.len() {
-                    machine.pipe_note_chunk(end, i);
+                    machine.pipe_note_chunk();
                 }
             }
         }

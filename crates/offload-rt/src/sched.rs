@@ -700,15 +700,31 @@ mod tests {
         let events = m.events().events();
         let enqueues = events
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::SchedEnqueue { .. }))
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Instant {
+                        label: "enqueue",
+                        ..
+                    }
+                )
+            })
             .count();
         let runs = events
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::SchedRun { .. }))
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Slice {
+                        label: "tile {tile}",
+                        ..
+                    }
+                )
+            })
             .count();
         let idles = events
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::SchedIdle { .. }))
+            .filter(|e| matches!(e.kind, EventKind::Slice { label: "idle", .. }))
             .count();
         assert_eq!(enqueues, 4);
         assert_eq!(runs, 4);

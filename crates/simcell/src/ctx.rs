@@ -6,9 +6,10 @@ use softcache::{CacheBacking, CacheChoice, SoftwareCache, TunedCache};
 
 use crate::cost::CostModel;
 use crate::error::SimError;
-use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{DmaFault, FaultError, FaultKind, FaultPlane, RecoveryKind};
-use crate::trace::MachineStats;
+use crate::event::{Args, CoreId, EventKind, EventLog};
+use crate::fault::{note_fault, DmaFault, FaultError, FaultKind, FaultPlane};
+use crate::machine::pipe_args;
+use crate::trace::{Layer, MachineStats};
 
 /// DMA tag reserved for synchronous "outer" accesses (the naive
 /// dereference-of-a-host-pointer path). User code should use tags
@@ -139,41 +140,43 @@ impl<'m> AccelCtx<'m> {
     pub fn recovery_note_retry(&mut self, tile: u32, attempt: u32, backoff: u64) {
         self.stats.recovery_retries += 1;
         self.stats.recovery_backoff_cycles += backoff;
-        self.events.record(
-            self.now,
-            EventKind::RecoveryApplied {
-                accel: self.accel_index,
-                recovery: RecoveryKind::Retry {
-                    tile,
-                    attempt,
-                    backoff,
-                },
-            },
+        let accel = self.accel_index;
+        let args = Args::new(
+            &["accel", "kind", "tile", "attempt", "backoff"],
+            [
+                accel.into(),
+                "retry".into(),
+                tile.into(),
+                attempt.into(),
+                backoff.into(),
+            ],
         );
+        self.events
+            .instant(self.now, Layer::Faults.lane(accel), "retry", args);
     }
 
     /// Notes that pipeline stage `stage` is about to stall for `cycles`
     /// before handling `chunk` — waiting on its input when
     /// `backpressure` is false, blocked by a full inter-stage queue when
-    /// true. Bookkeeping only (counters always, a structured
-    /// [`EventKind::PipeWait`] when the log is on); the stall itself is
-    /// charged separately by the caller, via [`AccelCtx::compute`].
+    /// true. Bookkeeping only (counters always, a `backpressure` or
+    /// `input wait` slice on the pipe lane when the log is on); the
+    /// stall itself is charged separately by the caller, via
+    /// [`AccelCtx::compute`].
     pub fn pipe_note_wait(&mut self, stage: u16, chunk: u32, cycles: u64, backpressure: bool) {
         if backpressure {
             self.stats.pipe_backpressure_cycles += cycles;
         } else {
             self.stats.pipe_input_wait_cycles += cycles;
         }
-        self.events.record(
-            self.now,
-            EventKind::PipeWait {
-                accel: self.accel_index,
-                stage,
-                chunk,
-                until: self.now + cycles,
-                backpressure,
-            },
-        );
+        let label = if backpressure {
+            "backpressure"
+        } else {
+            "input wait"
+        };
+        let (accel, until) = (self.accel_index, self.now + cycles);
+        let args = pipe_args(accel, stage, chunk);
+        self.events
+            .slice(self.now, Layer::Pipe.lane(accel), label, until, args);
     }
 
     // ---- access modes ----------------------------------------------------
@@ -358,31 +361,10 @@ impl<'m> AccelCtx<'m> {
         self.put_journal.truncate(mark);
     }
 
-    /// Records an injected fault: always counts it, and records the
-    /// structured event when the log is on. Zero simulated cost.
+    /// Records an injected fault on this accelerator (see
+    /// [`note_fault`]). Zero simulated cost.
     fn note_fault(&mut self, at: u64, fault: FaultKind) {
-        self.stats.faults_injected += 1;
-        match fault {
-            FaultKind::DmaCorrupt { .. } => self.stats.fault_dma_corrupt += 1,
-            FaultKind::DmaDrop { .. } => self.stats.fault_dma_drop += 1,
-            FaultKind::TagTimeout { stall } => {
-                self.stats.fault_timeouts += 1;
-                self.stats.fault_stall_cycles += stall;
-            }
-            FaultKind::AccelStall { cycles } => {
-                self.stats.fault_stalls += 1;
-                self.stats.fault_stall_cycles += cycles;
-            }
-            FaultKind::AccelDeath => self.stats.fault_deaths += 1,
-            FaultKind::LsPoison => self.stats.fault_ls_poison += 1,
-        }
-        self.events.record(
-            at,
-            EventKind::FaultInjected {
-                accel: self.accel_index,
-                fault,
-            },
-        );
+        note_fault(self.events, self.stats, at, self.accel_index, fault);
     }
 
     /// XORs the first quadword at `addr` (in `region`) with a marker —
@@ -426,8 +408,9 @@ impl<'m> AccelCtx<'m> {
     }
 
     /// Counts one DMA command in [`MachineStats`] and, when the event
-    /// log is enabled, records a [`EventKind::DmaIssue`] stamped at
-    /// `issued_at` with the completion cycle the engine just computed.
+    /// log is enabled, records a `dma_get` / `dma_put` slice on the DMA
+    /// lane from `issued_at` to the completion cycle the engine just
+    /// computed.
     /// Pure bookkeeping: no simulated cycles.
     fn trace_dma(&mut self, issued_at: u64, bytes: u32, tag: Tag, dir: DmaDirection) {
         match dir {
@@ -441,31 +424,27 @@ impl<'m> AccelCtx<'m> {
             }
         }
         if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::DmaIssue {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes,
-                    dir,
-                    complete_at: self.dma.last_complete_at(),
-                },
+            let label = match dir {
+                DmaDirection::Get => "dma_get",
+                DmaDirection::Put => "dma_put",
+            };
+            let (lane, end) = (
+                Layer::Dma.lane(self.accel_index),
+                self.dma.last_complete_at(),
             );
+            let args = Args::new(&["tag", "bytes"], [tag.raw().into(), bytes.into()]);
+            self.events.slice(issued_at, lane, label, end, args);
         }
     }
 
-    /// Records a [`EventKind::DmaWait`] covering `[issued_at, self.now]`
-    /// when the event log is enabled.
+    /// Records a `dma_wait` slice covering `[issued_at, self.now]` on
+    /// the accelerator lane when the event log is enabled.
     fn trace_wait(&mut self, issued_at: u64, mask: TagMask) {
         if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::DmaWait {
-                    accel: self.accel_index,
-                    mask: mask.bits(),
-                    resumed_at: self.now,
-                },
-            );
+            let lane = Layer::Accel.lane(self.accel_index);
+            let args = Args::new(&["mask"], [mask.bits().into()]);
+            self.events
+                .slice(issued_at, lane, "dma_wait", self.now, args);
         }
     }
 
@@ -488,34 +467,19 @@ impl<'m> AccelCtx<'m> {
         self.stats.cache_bytes_fetched += bytes_fetched;
         self.stats.cache_bytes_written_back += bytes_written_back;
         if self.events.is_enabled() {
-            let accel = self.accel_index;
+            let lane = Layer::Accel.lane(self.accel_index);
             if hits > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheHit {
-                        accel,
-                        count: hits as u32,
-                    },
-                );
+                let args = Args::new(&["count"], [(hits as u32).into()]);
+                self.events.instant(at, lane, "cache_hit", args);
             }
             if misses > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheMiss {
-                        accel,
-                        count: misses as u32,
-                        bytes_fetched,
-                    },
-                );
+                let keys = &["count", "bytes_fetched"];
+                let args = Args::new(keys, [(misses as u32).into(), bytes_fetched.into()]);
+                self.events.instant(at, lane, "cache_miss", args);
             }
             if evictions > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheEvict {
-                        accel,
-                        count: evictions as u32,
-                    },
-                );
+                let args = Args::new(&["count"], [(evictions as u32).into()]);
+                self.events.instant(at, lane, "cache_evict", args);
             }
         }
     }
@@ -1049,16 +1013,16 @@ impl<'m> AccelCtx<'m> {
         self.stats.gather_descriptors += descs.len() as u64;
         self.stats.gather_bytes += u64::from(plan.total_bytes());
         if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::Gather {
-                    accel: self.accel_index,
-                    elems: plan.len() as u32,
-                    descriptors: descs.len() as u32,
-                    bytes: plan.total_bytes(),
-                    complete_at: self.now,
-                },
+            let args = Args::new(
+                &["elems", "descriptors", "bytes"],
+                [
+                    (plan.len() as u32).into(),
+                    (descs.len() as u32).into(),
+                    plan.total_bytes().into(),
+                ],
             );
+            let lane = Layer::Gather.lane(self.accel_index);
+            self.events.slice(issued_at, lane, "gather", self.now, args);
         }
         Ok(local)
     }
@@ -1085,7 +1049,7 @@ impl<'m> AccelCtx<'m> {
 
     /// Whether the fused synchronous staging round trip may run: no
     /// fault plan (no transfer rolls, journals, or timeout rolls), no
-    /// event log (the split path would record `DmaIssue`/`DmaWait`
+    /// event log (the split path would record `dma_get`/`dma_wait`
     /// events), and the tag's queue idle (the fused issue+retire
     /// assumes the wait retires exactly the command it issued). Outside
     /// those conditions the split `engine_get`/`engine_put` +

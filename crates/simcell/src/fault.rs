@@ -42,6 +42,9 @@ use std::fmt;
 
 use xrng::Rng;
 
+use crate::event::{Args, EventLog, Val};
+use crate::trace::{Layer, MachineStats};
+
 /// A seeded, declarative schedule of fault rates.
 ///
 /// Rates are per-operation probabilities in `[0, 1]`; a rate of zero
@@ -256,7 +259,7 @@ impl fmt::Display for FaultError {
 
 impl Error for FaultError {}
 
-/// What kind of fault was injected, for the EventLog `faults` lane.
+/// What kind of fault was injected, for the trace's `faults` lane.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
     /// A DMA transfer's destination was scribbled.
@@ -303,39 +306,50 @@ impl FaultKind {
     }
 }
 
-/// What kind of recovery action the runtime took, for the EventLog
-/// `faults` lane.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RecoveryKind {
-    /// A faulted tile run is being retried after a backoff.
-    Retry {
-        /// The tile being retried.
-        tile: u32,
-        /// Which attempt this is (1 = first retry).
-        attempt: u32,
-        /// Backoff charged before re-running, in cycles.
-        backoff: u64,
-    },
-    /// A dead accelerator was evicted from the scheduler.
-    Evict {
-        /// How many queued tiles were redistributed.
-        tiles_moved: u32,
-    },
-    /// A tile was degraded to host execution.
-    HostFallback {
-        /// The tile that fell back.
-        tile: u32,
-    },
-}
-
-impl RecoveryKind {
-    /// Short stable name, used in trace output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RecoveryKind::Retry { .. } => "retry",
-            RecoveryKind::Evict { .. } => "evict",
-            RecoveryKind::HostFallback { .. } => "host_fallback",
+/// Counts an injected fault in `stats` and records it as an instant on
+/// accelerator `accel`'s faults lane, named by [`FaultKind::name`].
+/// Zero simulated cost: the fault itself charges any stall.
+pub(crate) fn note_fault(
+    events: &mut EventLog,
+    stats: &mut MachineStats,
+    at: u64,
+    accel: u16,
+    fault: FaultKind,
+) {
+    stats.faults_injected += 1;
+    match fault {
+        FaultKind::DmaCorrupt { .. } => stats.fault_dma_corrupt += 1,
+        FaultKind::DmaDrop { .. } => stats.fault_dma_drop += 1,
+        FaultKind::TagTimeout { stall } => {
+            stats.fault_timeouts += 1;
+            stats.fault_stall_cycles += stall;
         }
+        FaultKind::AccelStall { cycles } => {
+            stats.fault_stalls += 1;
+            stats.fault_stall_cycles += cycles;
+        }
+        FaultKind::AccelDeath => stats.fault_deaths += 1,
+        FaultKind::LsPoison => stats.fault_ls_poison += 1,
+    }
+    if events.is_enabled() {
+        let (accel_val, kind) = (Val::from(accel), Val::from(fault.name()));
+        let args = match fault {
+            FaultKind::DmaCorrupt { tag, bytes } | FaultKind::DmaDrop { tag, bytes } => Args::new(
+                &["accel", "kind", "tag", "bytes"],
+                [accel_val, kind, tag.into(), bytes.into()],
+            ),
+            FaultKind::TagTimeout { stall } => {
+                Args::new(&["accel", "kind", "stall"], [accel_val, kind, stall.into()])
+            }
+            FaultKind::AccelStall { cycles } => Args::new(
+                &["accel", "kind", "cycles"],
+                [accel_val, kind, cycles.into()],
+            ),
+            FaultKind::AccelDeath | FaultKind::LsPoison => {
+                Args::new(&["accel", "kind"], [accel_val, kind])
+            }
+        };
+        events.instant(at, Layer::Faults.lane(accel), fault.name(), args);
     }
 }
 
@@ -480,6 +494,42 @@ pub(crate) enum DmaFault {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CoreId;
+
+    #[test]
+    fn note_fault_counts_and_records_on_the_faults_lane() {
+        let (mut log, mut stats) = (EventLog::new(), MachineStats::default());
+        note_fault(&mut log, &mut stats, 1, 4, FaultKind::LsPoison);
+        assert!(log.is_empty(), "a disabled log records nothing");
+        log.set_enabled(true);
+        note_fault(
+            &mut log,
+            &mut stats,
+            9,
+            4,
+            FaultKind::DmaDrop { tag: 26, bytes: 64 },
+        );
+        note_fault(
+            &mut log,
+            &mut stats,
+            12,
+            4,
+            FaultKind::TagTimeout { stall: 300 },
+        );
+        assert_eq!(stats.faults_injected, 3);
+        assert_eq!(stats.fault_ls_poison, 1);
+        assert_eq!(stats.fault_dma_drop, 1);
+        assert_eq!((stats.fault_timeouts, stats.fault_stall_cycles), (1, 300));
+        let e = &log.events()[0];
+        assert_eq!(e.core(), CoreId::Accel(4));
+        assert_eq!(
+            e.to_string(),
+            "[         9] faults 4: dma_drop accel=4 kind=dma_drop tag=26 bytes=64"
+        );
+        assert!(log.events()[1]
+            .to_string()
+            .ends_with("tag_timeout accel=4 kind=tag_timeout stall=300"));
+    }
 
     #[test]
     fn zero_rates_consume_no_randomness() {

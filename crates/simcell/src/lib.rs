@@ -69,12 +69,12 @@ pub mod trace;
 pub use cost::CostModel;
 pub use ctx::AccelCtx;
 pub use error::{DispatchFault, SimError};
-pub use event::{CoreId, Event, EventKind, EventLog};
-pub use fault::{FaultError, FaultKind, FaultPlan, RecoveryKind};
+pub use event::{Args, CoreId, Event, EventKind, EventLog, Val};
+pub use fault::{FaultError, FaultKind, FaultPlan};
 pub use gather::{GatherDescriptor, GatherPlan};
 pub use machine::{Machine, MachineConfig, OffloadBuilder, OffloadHandle, OffloadParts};
 pub use memspace::{AccessMode, ModeDecl, ModeSet};
 pub use trace::{
     ascii_timeline, chrome_trace_json, parse_chrome_trace, AccessRecord, AccessTrace, ChromeEvent,
-    MachineStats, TraceOp,
+    Lane, Layer, MachineStats, TraceOp,
 };

@@ -7,10 +7,18 @@ use softcache::CacheChoice;
 use crate::cost::CostModel;
 use crate::ctx::AccelCtx;
 use crate::error::SimError;
-use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
+use crate::event::{Args, CoreId, EventKind, EventLog};
+use crate::fault::{note_fault, FaultError, FaultKind, FaultPlan, FaultPlane};
 use crate::gather::GatherPlan;
-use crate::trace::MachineStats;
+use crate::trace::{Layer, MachineStats};
+
+/// The args of a pipeline-lane slice, in export order.
+pub(crate) fn pipe_args(accel: u16, stage: u16, chunk: u32) -> Args {
+    Args::new(
+        &["accel", "stage", "chunk"],
+        [accel.into(), stage.into(), chunk.into()],
+    )
+}
 
 /// Machine shape and cost parameters.
 ///
@@ -374,6 +382,17 @@ impl Machine {
         if config.accel_count == 0 {
             return Err(SimError::BadConfig {
                 reason: "at least one accelerator is required".into(),
+            });
+        }
+        if config.accel_count > Layer::MAX_ACCELS {
+            return Err(SimError::BadConfig {
+                reason: format!(
+                    "{} accelerators exceed the {} the trace lane layout holds: \
+                     accelerator n's lane is tid 1+n and the dma lanes start at tid {}",
+                    config.accel_count,
+                    Layer::MAX_ACCELS,
+                    Layer::Dma.tid_base()
+                ),
             });
         }
         if config.staging_size == 0 || config.staging_size >= config.local_store_size {
@@ -844,17 +863,16 @@ impl Machine {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_death) {
                 self.faults.mark_dead(accel);
-                self.stats.faults_injected += 1;
-                self.stats.fault_deaths += 1;
+                let fault = FaultKind::AccelDeath;
+                note_fault(
+                    &mut self.events,
+                    &mut self.stats,
+                    self.host_now,
+                    accel,
+                    fault,
+                );
                 // In-flight transfers die with the core.
                 self.accels[usize::from(accel)].dma.purge();
-                self.events.record(
-                    self.host_now,
-                    EventKind::FaultInjected {
-                        accel,
-                        fault: FaultKind::AccelDeath,
-                    },
-                );
                 return Err(FaultError::AccelDead { accel }.into());
             }
         }
@@ -865,19 +883,10 @@ impl Machine {
         if self.faults.active() {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_stall) {
-                self.stats.faults_injected += 1;
-                self.stats.fault_stalls += 1;
-                self.stats.fault_stall_cycles += plan.stall_cycles;
-                self.events.record(
-                    start,
-                    EventKind::FaultInjected {
-                        accel,
-                        fault: FaultKind::AccelStall {
-                            cycles: plan.stall_cycles,
-                        },
-                    },
-                );
-                start += plan.stall_cycles;
+                let cycles = plan.stall_cycles;
+                let fault = FaultKind::AccelStall { cycles };
+                note_fault(&mut self.events, &mut self.stats, start, accel, fault);
+                start += cycles;
             }
         }
         self.events
@@ -933,13 +942,10 @@ impl Machine {
             }
         };
         if self.events.is_enabled() {
-            self.events.record(
-                end,
-                EventKind::LsHighWater {
-                    accel,
-                    bytes: slot.ls.alloc_high_water(),
-                },
-            );
+            let bytes = slot.ls.alloc_high_water();
+            let args = Args::new(&["bytes"], [bytes.into()]);
+            self.events
+                .counter(end, Layer::Accel.lane(accel), "ls_high_water", args);
         }
         slot.ls.restore_alloc(mark);
         slot.busy_until = end;
@@ -1069,8 +1075,9 @@ impl Machine {
     /// Notes that a scheduler placed `tile` on accelerator `accel`'s
     /// work queue at cycle `at`. Zero simulated cost.
     pub fn sched_note_enqueue(&mut self, at: u64, accel: u16, tile: u32) {
+        let args = Args::new(&["tile"], [tile.into()]);
         self.events
-            .record(at, EventKind::SchedEnqueue { accel, tile });
+            .instant(at, Layer::Sched.lane(accel), "enqueue", args);
     }
 
     /// Notes that accelerator `accel` ran `tile` over `[start, end]`;
@@ -1085,23 +1092,26 @@ impl Machine {
         stolen_from: Option<u16>,
     ) {
         self.stats.sched_tiles += 1;
-        self.events.record(
-            start,
-            EventKind::SchedRun {
-                accel,
-                tile,
-                end,
-                stolen_from,
-            },
-        );
+        if self.events.is_enabled() {
+            let args = match stolen_from {
+                None => Args::new(&["tile", "accel"], [tile.into(), accel.into()]),
+                Some(victim) => Args::new(
+                    &["tile", "accel", "stolen_from"],
+                    [tile.into(), accel.into(), victim.into()],
+                ),
+            };
+            self.events
+                .slice(start, Layer::Sched.lane(accel), "tile {tile}", end, args);
+        }
     }
 
     /// Notes that accelerator `accel` sat idle over `[from, until]`
     /// while the scheduled task was in flight. Zero simulated cost.
     pub fn sched_note_idle(&mut self, from: u64, accel: u16, until: u64) {
         self.stats.sched_idle_cycles += until.saturating_sub(from);
+        let args = Args::new(&["accel"], [accel.into()]);
         self.events
-            .record(from, EventKind::SchedIdle { accel, until });
+            .slice(from, Layer::Sched.lane(accel), "idle", until, args);
     }
 
     /// Notes that a work-stealing scheduler moved `tile` from `victim`'s
@@ -1111,63 +1121,50 @@ impl Machine {
     pub fn sched_note_steal(&mut self, at: u64, thief: u16, victim: u16, tile: u32, cost: u64) {
         self.stats.sched_steals += 1;
         self.stats.sched_steal_cycles += cost;
-        self.events.record(
-            at,
-            EventKind::SchedSteal {
-                thief,
-                victim,
-                tile,
-                cost,
-            },
-        );
+        let keys = &["victim", "tile", "cost"];
+        let args = Args::new(keys, [victim.into(), tile.into(), cost.into()]);
+        self.events
+            .instant(at, Layer::Sched.lane(thief), "steal", args);
     }
 
     // ---- pipeline bookkeeping ---------------------------------------------
     //
     // Hooks for the streaming pipeline runtime (`offload_rt::pipeline`),
-    // mirroring the scheduler hooks above: counters always, structured
-    // events when the log is on; no simulated cycles anywhere.
+    // mirroring the scheduler hooks above: counters always, events when
+    // the log is on; no simulated cycles anywhere.
 
     /// Notes that pipeline stage `stage` processed `chunk` on
     /// accelerator `accel` over `[start, end]`. Zero simulated cost.
     pub fn pipe_note_run(&mut self, start: u64, accel: u16, stage: u16, chunk: u32, end: u64) {
         self.stats.pipe_stage_runs += 1;
-        self.events.record(
-            start,
-            EventKind::PipeRun {
-                accel,
-                stage,
-                chunk,
-                end,
-            },
-        );
+        let args = pipe_args(accel, stage, chunk);
+        let lane = Layer::Pipe.lane(accel);
+        self.events
+            .slice(start, lane, "s{stage} chunk {chunk}", end, args);
     }
 
-    /// Notes that `chunk` cleared the pipeline's final stage at cycle
-    /// `at`. Zero simulated cost.
-    pub fn pipe_note_chunk(&mut self, at: u64, chunk: u32) {
-        let _ = (at, chunk);
+    /// Notes that a chunk cleared the pipeline's final stage. Zero
+    /// simulated cost.
+    pub fn pipe_note_chunk(&mut self) {
         self.stats.pipe_chunks += 1;
     }
 
     // ---- recovery bookkeeping ---------------------------------------------
     //
     // Zero-simulated-cost hooks for the recovery layer (retry/backoff/
-    // fallback in `offload_rt::sched`), mirroring the scheduler hooks
-    // above: counters always, structured events when the log is on.
+    // fallback in `offload_rt::exec`), mirroring the scheduler hooks
+    // above: counters always, events on the faults lane when the log
+    // is on.
 
     /// Notes that the scheduler evicted dead accelerator `accel` at
     /// cycle `at`, redistributing `tiles_moved` queued tiles. Zero
     /// simulated cost.
     pub fn recovery_note_evict(&mut self, at: u64, accel: u16, tiles_moved: u32) {
         self.stats.recovery_evictions += 1;
-        self.events.record(
-            at,
-            EventKind::RecoveryApplied {
-                accel,
-                recovery: RecoveryKind::Evict { tiles_moved },
-            },
-        );
+        let keys = &["accel", "kind", "tiles_moved"];
+        let args = Args::new(keys, [accel.into(), "evict".into(), tiles_moved.into()]);
+        self.events
+            .instant(at, Layer::Faults.lane(accel), "evict", args);
     }
 
     /// Notes that `tile` was degraded to host execution after
@@ -1176,13 +1173,10 @@ impl Machine {
     /// [`Machine::run_host_fallback`]).
     pub fn recovery_note_fallback(&mut self, at: u64, accel: u16, tile: u32) {
         self.stats.recovery_fallbacks += 1;
-        self.events.record(
-            at,
-            EventKind::RecoveryApplied {
-                accel,
-                recovery: RecoveryKind::HostFallback { tile },
-            },
-        );
+        let keys = &["accel", "kind", "tile"];
+        let args = Args::new(keys, [accel.into(), "host_fallback".into(), tile.into()]);
+        self.events
+            .instant(at, Layer::Faults.lane(accel), "host_fallback", args);
     }
 
     // ---- inspection --------------------------------------------------------
@@ -1268,6 +1262,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Lane;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::small()).unwrap()
@@ -1285,6 +1280,25 @@ mod tests {
             ..MachineConfig::default()
         };
         assert!(matches!(Machine::new(bad), Err(SimError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn accel_count_is_bounded_by_the_trace_lane_layout() {
+        let config = |accel_count| MachineConfig {
+            accel_count,
+            main_capacity: 1 << 20,
+            local_store_size: 4096,
+            staging_size: 1024,
+            ..MachineConfig::default()
+        };
+        assert!(Machine::new(config(Layer::MAX_ACCELS)).is_ok());
+        match Machine::new(config(Layer::MAX_ACCELS + 1)) {
+            Err(SimError::BadConfig { reason }) => {
+                assert!(reason.contains("lane layout"), "{reason}");
+                assert!(reason.contains("tid 1+n"), "{reason}");
+            }
+            other => panic!("100 accelerators must be rejected, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1524,7 +1538,17 @@ mod tests {
         ));
         // The end of the offload reports the local-store high-water mark
         // before the lifecycle events resume.
-        assert!(matches!(kinds[1], EventKind::LsHighWater { accel: 0, .. }));
+        assert!(matches!(
+            kinds[1],
+            EventKind::Counter {
+                lane: Lane {
+                    layer: Layer::Accel,
+                    accel: 0
+                },
+                label: "ls_high_water",
+                ..
+            }
+        ));
         assert!(matches!(kinds[2], EventKind::OffloadEnd { accel: 0 }));
         assert!(matches!(kinds[3], EventKind::Join { accel: 0 }));
         assert_eq!(m.stats().offloads, 1);
@@ -1870,7 +1894,8 @@ mod tests {
         let text: Vec<String> = m.events().events().iter().map(|e| e.to_string()).collect();
         assert!(text.iter().any(|s| s.contains("evict")), "{text:?}");
         assert!(
-            text.iter().any(|s| s.contains("host_fallback tile 7")),
+            text.iter()
+                .any(|s| s.contains("faults 0: host_fallback accel=0 kind=host_fallback tile=7")),
             "{text:?}"
         );
     }
@@ -1898,36 +1923,48 @@ mod tests {
         assert_eq!(s.sched_steals, 1);
         assert_eq!(s.sched_steal_cycles, 250);
         assert_eq!(s.sched_idle_cycles, 50);
+        let sched = Layer::Sched.lane(0);
         let kinds: Vec<_> = m.events().events().iter().map(|e| &e.kind).collect();
-        assert!(matches!(
+        assert_eq!(
             kinds[0],
-            EventKind::SchedEnqueue { accel: 0, tile: 7 }
-        ));
-        assert!(matches!(
+            &EventKind::Instant {
+                lane: sched,
+                label: "enqueue",
+                args: Args::new(&["tile"], [7u32.into()]),
+            }
+        );
+        assert_eq!(
             kinds[1],
-            EventKind::SchedRun {
-                accel: 0,
-                tile: 7,
+            &EventKind::Slice {
+                lane: sched,
+                label: "tile {tile}",
                 end: 400,
-                stolen_from: Some(1)
+                args: Args::new(
+                    &["tile", "accel", "stolen_from"],
+                    [7u32.into(), 0u16.into(), 1u16.into()]
+                ),
             }
-        ));
-        assert!(matches!(
+        );
+        assert_eq!(
             kinds[2],
-            EventKind::SchedIdle {
-                accel: 0,
-                until: 450
+            &EventKind::Slice {
+                lane: sched,
+                label: "idle",
+                end: 450,
+                args: Args::new(&["accel"], [0u16.into()]),
             }
-        ));
-        assert!(matches!(
+        );
+        assert_eq!(
             kinds[3],
-            EventKind::SchedSteal {
-                thief: 0,
-                victim: 1,
-                tile: 7,
-                cost: 250
+            &EventKind::Instant {
+                lane: sched,
+                label: "steal",
+                args: Args::new(
+                    &["victim", "tile", "cost"],
+                    [1u16.into(), 7u32.into(), 250u64.into()]
+                ),
             }
-        ));
+        );
         // Bookkeeping is free: no clock moved.
         assert_eq!(m.host_now(), 0);
     }

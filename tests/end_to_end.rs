@@ -173,7 +173,7 @@ fn event_log_reconstructs_the_figure2_schedule() {
     )
     .unwrap();
     let events = machine.events().events();
-    use offload_repro::simcell::EventKind;
+    use offload_repro::simcell::{EventKind, Layer};
     // The offload lifecycle is recorded in causal order even though
     // DMA/span events now interleave with it: find each by kind.
     let start = events
@@ -191,9 +191,7 @@ fn event_log_reconstructs_the_figure2_schedule() {
     assert!(start < end && end < join, "fork/join emitted in order");
     // The offloaded AI task issues explicit DMA; the trace shows it.
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DmaIssue { accel: 0, .. })),
+        events.iter().any(|e| e.lane() == Some(Layer::Dma.lane(0))),
         "offloaded frame records DMA issue events"
     );
     // The join happens after the host's collision detection, i.e. the
