@@ -233,52 +233,17 @@ pub fn ai_frame_sched(
     policy: SchedPolicy,
     extra: &[u64],
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
-    let n = entities.len();
-    let k = config.candidates;
+    let mut body = ai_tile(entities, entities, candidate_table, config, tiles, false);
     let (_, report) = machine
         .offload(0)
         .label("ai tile")
         .sched(policy)
         .accels(accels)
-        .run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
+        .run_tiles(tiles, |ctx, tile| {
             if let Some(&cost) = extra.get(tile as usize) {
                 ctx.compute(cost);
             }
-            let Range { start: begin, end } = block_range(n, tile, tiles);
-            let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
-            let count = end - begin;
-            if count == 0 {
-                return Ok(());
-            }
-            let table_slice = ArrayAccessor::<u32>::fetch(
-                ctx,
-                candidate_table.element(begin * k, 4)?,
-                count * k,
-            )?;
-            let mut out =
-                ArrayAccessor::<GameEntity>::for_output(ctx, entities.addr_of(begin)?, count)?;
-            for i in 0..count {
-                let mut me = all.get(ctx, begin + i)?;
-                let mut candidates = Vec::with_capacity(k as usize);
-                for j in 0..k {
-                    let idx = table_slice.get(ctx, i * k + j)?;
-                    let c = all.get(ctx, idx)?;
-                    ctx.compute(config.per_candidate_compute);
-                    candidates.push((idx, c.pos, c.health));
-                }
-                decide(&mut me, begin + i, &candidates);
-                ctx.compute(config.think_compute);
-                out.set(ctx, i, &me)?;
-            }
-            out.write_back(ctx)
+            body(ctx, tile)
         })?;
     Ok(report)
 }
@@ -310,54 +275,19 @@ pub fn ai_frame_sched_recovering(
     retries: u32,
     backoff: u64,
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
-    let n = entities.len();
-    let k = config.candidates;
     let (_, report) = machine
         .offload(0)
         .label("ai tile")
-        .faults(plan)
         .sched(policy)
+        .faults(plan)
         .accels(accels)
         .retry(retries)
         .backoff(backoff)
         .fallback_host()
-        .run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-            let Range { start: begin, end } = block_range(n, tile, tiles);
-            let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
-            let count = end - begin;
-            if count == 0 {
-                return Ok(());
-            }
-            let table_slice = ArrayAccessor::<u32>::fetch(
-                ctx,
-                candidate_table.element(begin * k, 4)?,
-                count * k,
-            )?;
-            let mut out =
-                ArrayAccessor::<GameEntity>::for_output(ctx, entities.addr_of(begin)?, count)?;
-            for i in 0..count {
-                let mut me = all.get(ctx, begin + i)?;
-                let mut candidates = Vec::with_capacity(k as usize);
-                for j in 0..k {
-                    let idx = table_slice.get(ctx, i * k + j)?;
-                    let c = all.get(ctx, idx)?;
-                    ctx.compute(config.per_candidate_compute);
-                    candidates.push((idx, c.pos, c.health));
-                }
-                decide(&mut me, begin + i, &candidates);
-                ctx.compute(config.think_compute);
-                out.set(ctx, i, &me)?;
-            }
-            out.write_back(ctx)
-        })?;
+        .run_tiles(
+            tiles,
+            ai_tile(entities, entities, candidate_table, config, tiles, false),
+        )?;
     Ok(report)
 }
 
@@ -408,14 +338,6 @@ pub fn ai_frame_sched_recovering_buffered(
     backoff: u64,
     declare_modes: bool,
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
     if out.len() < entities_in.len() {
         return Err(SimError::BadConfig {
             reason: format!(
@@ -426,38 +348,64 @@ pub fn ai_frame_sched_recovering_buffered(
         });
     }
     let n = entities_in.len();
-    let k = config.candidates;
-    let mut offload = machine.offload(0).label("ai tile").faults(plan);
+    let mut offload = machine.offload(0).label("ai tile");
     if declare_modes {
         offload = offload
             .reads(entities_in.base(), n * GameEntity::STRIDE)
-            .reads(candidate_table, n * k * 4)
+            .reads(candidate_table, n * config.candidates * 4)
             .writes(out.base(), n * GameEntity::STRIDE);
     }
-    let sched = offload
+    let (_, report) = offload
         .sched(policy)
+        .faults(plan)
         .accels(accels)
         .retry(retries)
         .backoff(backoff)
-        .fallback_host();
-    let (_, report) = sched.run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
+        .fallback_host()
+        .run_tiles(
+            tiles,
+            ai_tile(entities_in, out, candidate_table, config, tiles, true),
+        )?;
+    Ok(report)
+}
+
+/// The tile body every scheduled AI frame runs: tile `tile` of `tiles`
+/// bulk-fetches all of `input` plus its slice of the candidate table,
+/// decides for its [`block_range`] of entities, and writes them to the
+/// same block of `output`.
+///
+/// With `sanitize` the tile first clamps every candidate index into
+/// range in place — on a valid table each slot is rewritten with the
+/// value it already holds, so the buffer ends dirty but unchanged — and
+/// conservatively flushes the table slice before the decisions: without
+/// a `reads` declaration that flush is a real put, with one it is
+/// elided.
+fn ai_tile<'a>(
+    input: &'a EntityArray,
+    output: &'a EntityArray,
+    candidate_table: Addr,
+    config: &'a AiConfig,
+    tiles: u32,
+    sanitize: bool,
+) -> impl FnMut(&mut AccelCtx<'_>, u32) -> Result<(), SimError> + 'a {
+    let (n, k) = (input.len(), config.candidates);
+    move |ctx, tile| {
         let Range { start: begin, end } = block_range(n, tile, tiles);
-        let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities_in.base(), n)?;
+        let all = ArrayAccessor::<GameEntity>::fetch(ctx, input.base(), n)?;
         let count = end - begin;
         if count == 0 {
             return Ok(());
         }
         let mut table_slice =
             ArrayAccessor::<u32>::fetch(ctx, candidate_table.element(begin * k, 4)?, count * k)?;
-        // Defensive sanitize pass: clamp every candidate index into
-        // range. On a valid table this rewrites each slot with the
-        // value it already holds — the buffer ends dirty but unchanged.
-        for j in 0..count * k {
-            let idx = table_slice.get(ctx, j)?;
-            table_slice.set(ctx, j, &idx.min(n - 1))?;
+        if sanitize {
+            for j in 0..count * k {
+                let idx = table_slice.get(ctx, j)?;
+                table_slice.set(ctx, j, &idx.min(n - 1))?;
+            }
         }
         let mut decisions =
-            ArrayAccessor::<GameEntity>::for_output(ctx, out.addr_of(begin)?, count)?;
+            ArrayAccessor::<GameEntity>::for_output(ctx, output.addr_of(begin)?, count)?;
         for i in 0..count {
             let mut me = all.get(ctx, begin + i)?;
             let mut candidates = Vec::with_capacity(k as usize);
@@ -471,13 +419,11 @@ pub fn ai_frame_sched_recovering_buffered(
             ctx.compute(config.think_compute);
             decisions.set(ctx, i, &me)?;
         }
-        // Conservative flush: without declarations this is a real put;
-        // with `reads(table)` it is elided (and a table that actually
-        // changed would be an undeclared write).
-        table_slice.write_back(ctx)?;
+        if sanitize {
+            table_slice.write_back(ctx)?;
+        }
         decisions.write_back(ctx)
-    })?;
-    Ok(report)
+    }
 }
 
 #[cfg(test)]

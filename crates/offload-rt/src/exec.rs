@@ -43,8 +43,12 @@ pub trait Recoverable: Sized {
     /// The builder's recovery policy, which the setters below edit.
     fn recovery_mut(&mut self) -> &mut Recovery;
 
-    /// Arms `plan` on the machine when the run starts. The plan persists
-    /// afterwards; clear it with [`Machine::clear_fault_plan`].
+    /// Arms `plan` on the machine when the run starts, after the run
+    /// validated its configuration: a run rejected before anything
+    /// launches leaves the machine's plan as it was. The plan persists
+    /// afterwards; clear it with [`Machine::clear_fault_plan`]. This is
+    /// the only builder setter for a plan; a plain offload runs under
+    /// whatever [`Machine::install_fault_plan`] armed.
     fn faults(mut self, plan: FaultPlan) -> Self {
         self.recovery_mut().plan = Some(plan);
         self

@@ -8,7 +8,7 @@
 //! accelerating.
 //!
 //! `machine.pipeline().stage(k1).stage(k2).buffers(2).run(remote, len)`
-//! places stage `k` on accelerator `base + k` and streams the array
+//! places stage `k` on accelerator `k` and streams the array
 //! through all stages in chunks. Stage `k` processes chunk `i` while
 //! stage `k-1` is already computing chunk `i+1`; inside each
 //! stage/chunk the transfer itself is double-buffered through
@@ -85,7 +85,7 @@
 //! ```
 
 use memspace::{Addr, Pod};
-use simcell::{AccelCtx, AccessMode, Machine, ModeSet, OffloadHandle, SimError};
+use simcell::{AccelCtx, Machine, ModeSet, OffloadHandle, SimError};
 
 use crate::exec::{
     host_fallback, lane_range, run_with_retries, Exec, LaneSpan, Recoverable, Recovery, RunSummary,
@@ -107,7 +107,7 @@ pub const DEFAULT_PIPE_CHUNK: u32 = 64;
 /// `machine.pipeline().stage(k1).stage(k2).buffers(2).run(remote, len)`.
 pub trait MachinePipelineExt {
     /// Starts building a pipeline over elements of type `T`. Stage `k`
-    /// runs on accelerator `k` (shift with [`PipelineBuilder::base`]).
+    /// runs on accelerator `k`.
     fn pipeline<T: Pod>(&mut self) -> PipelineBuilder<'_, T>;
 }
 
@@ -115,21 +115,17 @@ impl MachinePipelineExt for Machine {
     fn pipeline<T: Pod>(&mut self) -> PipelineBuilder<'_, T> {
         PipelineBuilder {
             machine: self,
-            base: 0,
             stages: Vec::new(),
             buffers: DEFAULT_PIPE_BUFFERS,
             chunk_elems: DEFAULT_PIPE_CHUNK,
             recovery: Recovery::default(),
-            orphan_modes: false,
         }
     }
 }
 
-/// A pipeline stage: a chunk-local transform plus its trace label and
-/// declared access modes.
+/// A pipeline stage: a chunk-local transform plus its trace label.
 struct PipeStage<'m, T> {
     name: &'static str,
-    modes: ModeSet,
     #[allow(clippy::type_complexity)]
     f: Box<dyn FnMut(&mut AccelCtx<'_>, u32, &mut [T]) -> Result<(), SimError> + 'm>,
 }
@@ -141,12 +137,10 @@ struct PipeStage<'m, T> {
 #[must_use = "a pipeline does nothing until run"]
 pub struct PipelineBuilder<'m, T> {
     machine: &'m mut Machine,
-    base: u16,
     stages: Vec<PipeStage<'m, T>>,
     buffers: u32,
     chunk_elems: u32,
     recovery: Recovery,
-    orphan_modes: bool,
 }
 
 impl<T> Recoverable for PipelineBuilder<'_, T> {
@@ -207,50 +201,8 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
     {
         self.stages.push(PipeStage {
             name,
-            modes: ModeSet::new(),
             f: Box::new(f),
         });
-        self
-    }
-
-    /// Declares that the *most recently added* stage only loads from
-    /// `[addr, addr+len)` — see `OffloadBuilder::reads` in `simcell`.
-    /// A read-declared chunk's write-back DMA is elided (counted in
-    /// [`MachineStats::dma_writebacks_elided`](simcell::MachineStats)),
-    /// and a stage that nonetheless mutates the chunk fails with
-    /// [`SimError::UndeclaredWrite`].
-    ///
-    /// Must follow a [`PipelineBuilder::stage`] call; declaring modes
-    /// on an empty pipeline is rejected by [`PipelineBuilder::run`].
-    pub fn reads(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Read)
-    }
-
-    /// Declares that the most recently added stage fully overwrites
-    /// `[addr, addr+len)` without reading it: the put journal skips
-    /// pre-image snapshots for the range under an armed fault plan.
-    pub fn writes(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Write)
-    }
-
-    /// Declares that the most recently added stage both reads and
-    /// writes `[addr, addr+len)`.
-    pub fn updates(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Update)
-    }
-
-    fn declare(mut self, addr: Addr, len: u32, mode: AccessMode) -> PipelineBuilder<'m, T> {
-        match self.stages.last_mut() {
-            Some(stage) => stage.modes.declare(addr, len, mode),
-            None => self.orphan_modes = true,
-        }
-        self
-    }
-
-    /// Places stage 0 on accelerator `accel` (stage `k` on
-    /// `accel + k`). Defaults to 0.
-    pub fn base(mut self, accel: u16) -> PipelineBuilder<'m, T> {
-        self.base = accel;
         self
     }
 
@@ -282,28 +234,18 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
     /// # Errors
     ///
     /// Fails with [`SimError::BadConfig`] if the pipeline has no
-    /// stages, a zero queue depth, or more stages than accelerators
-    /// from [`PipelineBuilder::base`] up, and with
-    /// [`SimError::Memory`] if `len` elements from `remote` do not lie
-    /// in main memory — all before anything launches. Otherwise
+    /// stages, a zero queue depth, or more stages than accelerators,
+    /// and with [`SimError::Memory`] if `len` elements from `remote` do
+    /// not lie in main memory — all before anything launches. Otherwise
     /// propagates the first stage error or unrecovered fault.
     pub fn run(self, remote: Addr, len: u32) -> Result<PipeReport, SimError> {
         let PipelineBuilder {
             machine,
-            base,
             mut stages,
             buffers,
             chunk_elems,
             recovery,
-            orphan_modes,
         } = self;
-        if orphan_modes {
-            return Err(SimError::BadConfig {
-                reason: "pipeline mode declarations (.reads/.writes/.updates) must follow \
-                         the .stage() they describe"
-                    .into(),
-            });
-        }
         if stages.is_empty() || buffers == 0 {
             return Err(SimError::BadConfig {
                 reason: format!(
@@ -313,8 +255,9 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                 ),
             });
         }
-        let lanes = lane_range(machine, "pipeline stages", base, stages.len())?;
-        let stage_count = lanes.end - lanes.start;
+        // Stage k runs on accelerator k.
+        let lanes = lane_range(machine, "pipeline stages", 0, stages.len())?;
+        let stage_count = lanes.end;
         check_span::<T>(machine.main().range(), remote, len)?;
         let exec = Exec::start(machine, recovery);
         let chunk_elems = chunk_elems.max(1);
@@ -349,8 +292,7 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                 if i >= chunks {
                     continue;
                 }
-                let k = usize::from(stage_idx);
-                let accel = base + stage_idx;
+                let (k, accel) = (usize::from(stage_idx), stage_idx);
                 let first = i * chunk_elems;
                 let n = chunk_elems.min(len - first);
                 let item_remote = remote.element(first, elem)?;
@@ -368,31 +310,27 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                 };
                 let mut pop_at = 0u64;
                 let mut push_at = 0u64;
-                let spawned = machine
-                    .offload(accel)
-                    .label(stage.name)
-                    .with_modes(stage.modes.clone())
-                    .spawn(|ctx| {
-                        // Block until the producer pushed this chunk.
-                        let wait = input_ready.saturating_sub(ctx.now());
+                let spawned = machine.offload(accel).label(stage.name).spawn(|ctx| {
+                    // Block until the producer pushed this chunk.
+                    let wait = input_ready.saturating_sub(ctx.now());
+                    if wait > 0 {
+                        ctx.pipe_note_wait(stage_idx, i, wait, false);
+                        ctx.compute(wait);
+                    }
+                    pop_at = ctx.now();
+                    let result = run_with_retries(ctx, i, &exec.recovery, &mut body);
+                    // Block until the downstream queue has a free slot;
+                    // only then is the chunk really pushed.
+                    if let Some(pop) = queue_slot {
+                        let wait = pop.saturating_sub(ctx.now());
                         if wait > 0 {
-                            ctx.pipe_note_wait(stage_idx, i, wait, false);
+                            ctx.pipe_note_wait(stage_idx, i, wait, true);
                             ctx.compute(wait);
                         }
-                        pop_at = ctx.now();
-                        let result = run_with_retries(ctx, i, &exec.recovery, &mut body);
-                        // Block until the downstream queue has a free slot;
-                        // only then is the chunk really pushed.
-                        if let Some(pop) = queue_slot {
-                            let wait = pop.saturating_sub(ctx.now());
-                            if wait > 0 {
-                                ctx.pipe_note_wait(stage_idx, i, wait, true);
-                                ctx.compute(wait);
-                            }
-                        }
-                        push_at = ctx.now();
-                        result
-                    });
+                    }
+                    push_at = ctx.now();
+                    result
+                });
                 // (start, end, pop, push) of an item that ran on its
                 // accelerator; `None` sends it to the host.
                 let ran = match spawned {
@@ -423,8 +361,8 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                 let (start, end, pop, push) = match ran {
                     Some(span) => span,
                     None => {
-                        let (at, modes) = (machine.host_now(), stage.modes.clone());
-                        host_fallback(machine, accel, i, stage.name, modes, &mut body)?;
+                        let at = machine.host_now();
+                        host_fallback(machine, accel, i, stage.name, ModeSet::new(), &mut body)?;
                         (at, machine.host_now(), at, machine.host_now())
                     }
                 };

@@ -20,4 +20,3 @@ pub use crate::pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use crate::remote::{GatherView, RemoteSlice};
 pub use crate::sched::{SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use crate::stream::{process_chunked, process_stream, StreamConfig};
-pub use crate::tuned::build_tuned_cache;

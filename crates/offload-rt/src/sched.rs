@@ -78,7 +78,7 @@ pub enum SchedPolicy {
     ShortestQueue,
     /// Static seeding plus stealing: an accelerator whose own deque is
     /// empty takes the back tile of the most-loaded queue, paying
-    /// [`TileScheduler::steal_cost`]. It steals only when it would start
+    /// [`DEFAULT_STEAL_COST`]. It steals only when it would start
     /// the tile, steal cost included, strictly before the victim could,
     /// so a stolen tile never finishes later than under
     /// [`SchedPolicy::Static`] (a seeded property test in `bench` checks
@@ -126,9 +126,11 @@ pub fn block_range(n: u32, part: u32, parts: u32) -> Range<u32> {
 pub trait SchedExt<'m> {
     /// Turns the configured offload into a [`TileScheduler`] running
     /// under `policy`. The builder's accelerator index becomes the
-    /// first lane; its label, cache choice, access modes and fault
-    /// plan apply to every tile. Gather plans do not fan out over tiles:
-    /// declaring one makes [`TileScheduler::run_tiles`] fail.
+    /// first lane; its label, cache choice and access modes apply to
+    /// every tile. Recovery starts from [`Recovery::default`] (no plan
+    /// armed); arm one with [`Recoverable::faults`] on the scheduler.
+    /// Gather plans do not fan out over tiles: declaring one makes
+    /// [`TileScheduler::run_tiles`] fail.
     fn sched(self, policy: SchedPolicy) -> TileScheduler<'m>;
 }
 
@@ -139,7 +141,6 @@ impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
             accel: base,
             label,
             cache,
-            faults,
             modes,
             gathers,
         } = self.into_parts();
@@ -150,11 +151,7 @@ impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
             label,
             cache,
             policy,
-            steal_cost: DEFAULT_STEAL_COST,
-            recovery: Recovery {
-                plan: faults,
-                ..Recovery::default()
-            },
+            recovery: Recovery::default(),
             modes,
             gathers: !gathers.is_empty(),
         }
@@ -175,7 +172,6 @@ pub struct TileScheduler<'m> {
     label: &'static str,
     cache: CacheChoice,
     policy: SchedPolicy,
-    steal_cost: u64,
     recovery: Recovery,
     modes: ModeSet,
     /// Whether the offload builder declared gather plans (rejected at run).
@@ -290,14 +286,6 @@ impl<'m> TileScheduler<'m> {
         self
     }
 
-    /// Sets the simulated cycles a work-stealing thief pays per stolen
-    /// tile (default [`DEFAULT_STEAL_COST`]). Ignored by the other
-    /// policies.
-    pub fn steal_cost(mut self, cycles: u64) -> TileScheduler<'m> {
-        self.steal_cost = cycles;
-        self
-    }
-
     /// Dispatches `tiles` tiles through the policy and joins them all.
     ///
     /// The closure runs once per tile (in scheduler-determined order —
@@ -334,7 +322,6 @@ impl<'m> TileScheduler<'m> {
             label,
             cache,
             policy,
-            steal_cost,
             recovery,
             modes,
             gathers,
@@ -346,10 +333,12 @@ impl<'m> TileScheduler<'m> {
                     .into(),
             });
         }
-        let exec = Exec::start(machine, recovery);
+        // Validate before arming the plan: a rejected run leaves the
+        // machine as it found it.
         let count = accels.unwrap_or_else(|| machine.accel_count().saturating_sub(base));
         let lanes: Vec<u16> =
             lane_range(machine, "scheduler lanes", base, usize::from(count))?.collect();
+        let exec = Exec::start(machine, recovery);
         let (t0, fallback) = (exec.t0, exec.recovery.fallback);
         let mut dispatches: Vec<Dispatch<R>> = Vec::with_capacity(tiles as usize);
         let mut steals = 0u32;
@@ -369,12 +358,12 @@ impl<'m> TileScheduler<'m> {
                 .with_modes(modes.clone())
                 .spawn(|ctx| {
                     if stolen_from.is_some() {
-                        ctx.compute(steal_cost);
+                        ctx.compute(DEFAULT_STEAL_COST);
                     }
                     run_with_retries(ctx, tile, &exec.recovery, &mut f)
                 })?;
             if let Some(victim) = stolen_from {
-                machine.sched_note_steal(handle.start(), lane, victim, tile, steal_cost);
+                machine.sched_note_steal(handle.start(), lane, victim, tile, DEFAULT_STEAL_COST);
                 steals += 1;
             }
             machine.sched_note_run(handle.start(), lane, tile, handle.end(), stolen_from);
@@ -485,7 +474,7 @@ impl<'m> TileScheduler<'m> {
                             .copied()
                             .find(|&j| j != i && !deques[j].1.is_empty());
                         if let Some(j) = victim {
-                            if thief_eff + steal_cost < free_at(machine, deques[j].0) {
+                            if thief_eff + DEFAULT_STEAL_COST < free_at(machine, deques[j].0) {
                                 let tile = deques[j].1.pop_back().expect("checked non-empty");
                                 choice = Some((i, tile, Some(j)));
                                 break;
@@ -565,7 +554,7 @@ impl<'m> TileScheduler<'m> {
             tiles,
             run,
             steals,
-            steal_cycles: u64::from(steals) * steal_cost,
+            steal_cycles: u64::from(steals) * DEFAULT_STEAL_COST,
             evicted,
         };
         Ok((results, report))
@@ -741,14 +730,13 @@ mod tests {
     }
 
     #[test]
-    fn stolen_tiles_pay_the_configured_cost_and_results_survive() {
+    fn stolen_tiles_pay_the_steal_cost_and_results_survive() {
         let costs = [150_000u64, 150_000, 5_000, 5_000, 5_000, 5_000];
         let mut m = machine();
         let (results, report) = m
             .offload(0)
             .sched(SchedPolicy::WorkStealing)
             .accels(3)
-            .steal_cost(2_500)
             .run_tiles(6, |ctx, tile| {
                 ctx.compute(costs[tile as usize]);
                 Ok(tile)
@@ -756,19 +744,30 @@ mod tests {
             .unwrap();
         assert_eq!(results, vec![0, 1, 2, 3, 4, 5]);
         assert!(report.steals > 0);
-        assert_eq!(report.steal_cycles, u64::from(report.steals) * 2_500);
+        assert_eq!(
+            report.steal_cycles,
+            u64::from(report.steals) * DEFAULT_STEAL_COST
+        );
         assert_eq!(m.stats().sched_steals, u64::from(report.steals));
     }
 
     #[test]
-    fn lane_ranges_are_validated() {
+    fn lane_ranges_are_validated_before_the_plan_is_armed() {
         let mut m = machine();
+        let before = m.host_now();
         let err = m
             .offload(4)
             .sched(SchedPolicy::Static)
             .accels(5)
-            .run_tiles(4, |_, _| Ok(()));
-        assert!(err.is_err(), "4..9 exceeds a 6-accel machine");
+            .faults(FaultPlan::new(3).with_dma_corrupt(1.0))
+            .run_tiles(4, |_, _| Ok(()))
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::BadConfig { .. }),
+            "4..9 exceeds a 6-accel machine: {err:?}"
+        );
+        assert!(m.fault_plan().is_none(), "the rejected run armed its plan");
+        assert_eq!(m.host_now(), before, "nothing launched");
         let ok = m
             .offload(4)
             .sched(SchedPolicy::Static)
@@ -812,8 +811,8 @@ mod tests {
         let (_, body) = fetch_tile(&mut m, &values);
         let (results, report) = m
             .offload(0)
-            .faults(FaultPlan::new(0xfab).with_dma_corrupt(0.5))
             .sched(SchedPolicy::Static)
+            .faults(FaultPlan::new(0xfab).with_dma_corrupt(0.5))
             .accels(4)
             .retry(6)
             .backoff(800)
@@ -843,8 +842,8 @@ mod tests {
         let (_, body) = fetch_tile(&mut m, &values);
         let (results, report) = m
             .offload(0)
-            .faults(FaultPlan::new(7).with_dma_corrupt(1.0))
             .sched(SchedPolicy::ShortestQueue)
+            .faults(FaultPlan::new(7).with_dma_corrupt(1.0))
             .accels(3)
             .retry(2)
             .fallback_host()
@@ -869,8 +868,8 @@ mod tests {
             let mut m = machine();
             let (results, report) = m
                 .offload(0)
-                .faults(FaultPlan::new(0xdead).with_accel_death(0.2))
                 .sched(policy)
+                .faults(FaultPlan::new(0xdead).with_accel_death(0.2))
                 .accels(4)
                 .fallback_host()
                 .run_tiles(16, |ctx, tile| {
@@ -899,8 +898,8 @@ mod tests {
         let mut m = machine();
         let err = m
             .offload(0)
-            .faults(FaultPlan::new(1).with_accel_death(1.0))
             .sched(SchedPolicy::WorkStealing)
+            .faults(FaultPlan::new(1).with_accel_death(1.0))
             .accels(3)
             .run_tiles(6, |ctx, tile| {
                 ctx.compute(1_000);
@@ -915,8 +914,8 @@ mod tests {
         let mut m = machine();
         let (results, report) = m
             .offload(0)
-            .faults(FaultPlan::new(1).with_accel_death(1.0))
             .sched(SchedPolicy::Static)
+            .faults(FaultPlan::new(1).with_accel_death(1.0))
             .accels(3)
             .fallback_host()
             .run_tiles(6, |ctx, tile| {
@@ -966,13 +965,13 @@ mod tests {
             let (_, body) = fetch_tile(&mut m, &values);
             let (results, report) = m
                 .offload(0)
+                .sched(SchedPolicy::WorkStealing)
                 .faults(
                     FaultPlan::new(0xc0ffee)
                         .with_dma_corrupt(0.3)
                         .with_tag_timeout(0.2)
                         .with_accel_death(0.05),
                 )
-                .sched(SchedPolicy::WorkStealing)
                 .accels(4)
                 .retry(4)
                 .fallback_host()

@@ -236,6 +236,8 @@ where
 mod tests {
     use super::*;
     use simcell::{Machine, MachineConfig};
+    use softcache::autotune::{autotune, replay_exact, TuneOptions};
+    use softcache::{CacheChoice, CacheConfig, SoftwareCache};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::small()).unwrap()
@@ -519,5 +521,105 @@ mod tests {
         );
         assert_eq!(m.memory_hash(), image);
         assert_eq!(m.stats().dma_gets + m.stats().dma_puts, 0);
+    }
+
+    #[test]
+    fn naive_choice_builds_no_cache() {
+        let mut m = Machine::new(MachineConfig::small()).unwrap();
+        let built = m
+            .offload(0)
+            .run(|ctx| -> Result<bool, SimError> {
+                Ok(ctx.new_tuned_cache(&CacheChoice::Naive)?.is_some())
+            })
+            .unwrap()
+            .unwrap();
+        assert!(!built);
+    }
+
+    #[test]
+    fn tuned_caches_read_correct_data_in_both_families() {
+        for choice in [
+            CacheChoice::SetAssoc(CacheConfig::four_way_16k()),
+            CacheChoice::Stream(CacheConfig::new(1024, 1, 1)),
+        ] {
+            let mut m = Machine::new(MachineConfig::small()).unwrap();
+            let remote = m.alloc_main_slice::<u32>(512).unwrap();
+            let values: Vec<u32> = (0..512).map(|i| i * 3).collect();
+            m.main_mut().write_pod_slice(remote, &values).unwrap();
+            let sum = m
+                .offload(0)
+                .run(|ctx| -> Result<u64, SimError> {
+                    let mut cache = ctx.new_tuned_cache(&choice)?.expect("cache families build");
+                    let mut sum = 0u64;
+                    for i in 0..512u32 {
+                        let v: u32 = ctx.cached_read_pod(&mut cache, remote.element(i, 4)?)?;
+                        sum += u64::from(v);
+                    }
+                    assert!(cache.stats().hits > 0, "{}", cache.describe());
+                    Ok(sum)
+                })
+                .unwrap()
+                .unwrap();
+            assert_eq!(sum, values.iter().map(|&v| u64::from(v)).sum::<u64>());
+        }
+    }
+
+    #[test]
+    fn autotuned_choice_applies_and_reproduces_its_predicted_cycles() {
+        // Capture a sequential scan, tune it, apply the winner through
+        // ctx.new_tuned_cache, and check the tuned run (a) beats naive
+        // and (b) lands exactly on the cycles exact replay predicted.
+        let len = 16 * 1024u32;
+        let run = |choice: Option<&CacheChoice>, capture: bool| -> (u64, Vec<_>) {
+            let mut m = Machine::new(MachineConfig::small()).unwrap();
+            m.access_trace_mut().set_enabled(capture);
+            let data = m.alloc_main(len, 16).unwrap();
+            let choice = choice.cloned();
+            let elapsed = m
+                .offload(0)
+                .run(move |ctx| -> Result<u64, SimError> {
+                    let t0 = ctx.now();
+                    let mut cache = match &choice {
+                        Some(c) => ctx.new_tuned_cache(c)?,
+                        None => None,
+                    };
+                    let mut buf = [0u8; 16];
+                    for off in (0..len - 16).step_by(16) {
+                        match &mut cache {
+                            Some(c) => ctx.cached_read_bytes(c, data.offset_by(off)?, &mut buf)?,
+                            None => ctx.outer_read_bytes(data.offset_by(off)?, &mut buf)?,
+                        }
+                    }
+                    Ok(ctx.now() - t0)
+                })
+                .unwrap()
+                .unwrap();
+            (elapsed, m.access_trace().records().to_vec())
+        };
+
+        let (naive_cycles, trace) = run(None, true);
+        let opts = TuneOptions::default();
+        let report = autotune(&trace, &opts).unwrap();
+        let winner = report.winner();
+        assert_eq!(winner.choice.family(), "stream", "sequential scans stream");
+
+        let (tuned_cycles, _) = run(Some(&winner.choice), false);
+        assert!(tuned_cycles < naive_cycles);
+        assert_eq!(
+            tuned_cycles,
+            replay_exact(&winner.choice, &trace, &opts).unwrap(),
+            "applying the tuned choice reproduces the validated replay bit-identically"
+        );
+    }
+
+    #[test]
+    fn stream_config_derivation() {
+        let stream = CacheChoice::Stream(CacheConfig::new(1024, 1, 1));
+        let cfg = StreamConfig::from_choice::<u32>(&stream, true).unwrap();
+        assert_eq!(cfg.chunk_elems, 256);
+        assert!(cfg.write_back);
+        assert!(StreamConfig::from_choice::<u32>(&CacheChoice::Naive, true).is_none());
+        let assoc = CacheChoice::SetAssoc(CacheConfig::four_way_16k());
+        assert!(StreamConfig::from_choice::<u32>(&assoc, false).is_none());
     }
 }

@@ -1361,9 +1361,7 @@ impl<'m> AccelCtx<'m> {
     /// Builds a set-associative software cache whose line arena lives in
     /// this accelerator's local store.
     ///
-    /// The arena is released when the offload block ends; for a cache
-    /// that persists across offloads, use
-    /// [`crate::Machine::new_cache_for`].
+    /// The arena is released when the offload block ends.
     ///
     /// # Errors
     ///

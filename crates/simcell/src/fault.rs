@@ -358,14 +358,20 @@ pub(crate) fn note_fault(
 ///
 /// Owned by [`Machine`](crate::Machine); user code installs plans via
 /// [`Machine::install_fault_plan`](crate::Machine::install_fault_plan)
-/// or the offload builder and never touches this directly.
+/// (or the `offload_rt` runtimes' `Recoverable::faults`) and never
+/// touches this directly.
 #[derive(Clone, Debug)]
 pub struct FaultPlane {
     plan: Option<FaultPlan>,
     rng: Rng,
-    dead: u64,
+    /// Bit `a` set when accelerator `a` has died; the machine
+    /// range-checks `a` before it gets here.
+    dead: u128,
     suppress: u32,
 }
+
+// One `dead` bit per accelerator the lane layout admits.
+const _: () = assert!(Layer::MAX_ACCELS <= 128);
 
 impl FaultPlane {
     /// A disarmed plane: no plan, nothing dead.
@@ -437,14 +443,12 @@ impl FaultPlane {
     /// True if `accel` has died.
     #[inline]
     pub(crate) fn is_dead(&self, accel: u16) -> bool {
-        accel < 64 && self.dead & (1u64 << accel) != 0
+        self.dead & (1u128 << accel) != 0
     }
 
     /// Mark `accel` dead.
     pub(crate) fn mark_dead(&mut self, accel: u16) {
-        if accel < 64 {
-            self.dead |= 1u64 << accel;
-        }
+        self.dead |= 1u128 << accel;
     }
 
     /// Roll against `rate`. A rate of zero (or below) returns false

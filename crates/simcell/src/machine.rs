@@ -141,7 +141,6 @@ pub struct OffloadBuilder<'m> {
     accel: u16,
     label: &'static str,
     cache: CacheChoice,
-    faults: Option<FaultPlan>,
     modes: ModeSet,
     gathers: Vec<GatherPlan>,
 }
@@ -165,16 +164,6 @@ impl<'m> OffloadBuilder<'m> {
     /// back to plain outer accesses and nothing is built.
     pub fn cache(mut self, choice: CacheChoice) -> OffloadBuilder<'m> {
         self.cache = choice;
-        self
-    }
-
-    /// Installs `plan` on the machine right before launch, arming its
-    /// deterministic fault plane (see [`crate::fault`]). The plan
-    /// persists on the machine after the offload, so a sequence of
-    /// launches draws one continuous fault schedule; clear it with
-    /// [`Machine::clear_fault_plan`].
-    pub fn faults(mut self, plan: FaultPlan) -> OffloadBuilder<'m> {
-        self.faults = Some(plan);
         self
     }
 
@@ -276,13 +265,9 @@ impl<'m> OffloadBuilder<'m> {
             accel,
             label,
             cache,
-            faults,
             modes,
             gathers,
         } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
         machine.launch(accel, label, cache, modes, gathers, f)
     }
 
@@ -298,13 +283,9 @@ impl<'m> OffloadBuilder<'m> {
             accel,
             label,
             cache,
-            faults,
             modes,
             gathers,
         } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
         let handle = machine.launch(accel, label, cache, modes, gathers, f)?;
         Ok(machine.join(handle))
     }
@@ -312,14 +293,13 @@ impl<'m> OffloadBuilder<'m> {
     /// Dissolves the builder back into its parts, for scheduler
     /// front-ends layered on top of the machine (e.g.
     /// `offload_rt::sched`, which fans the configured label, cache
-    /// choice and fault plan out over several accelerators).
+    /// choice and access modes out over several accelerators).
     pub fn into_parts(self) -> OffloadParts<'m> {
         OffloadParts {
             machine: self.machine,
             accel: self.accel,
             label: self.label,
             cache: self.cache,
-            faults: self.faults,
             modes: self.modes,
             gathers: self.gathers,
         }
@@ -329,8 +309,10 @@ impl<'m> OffloadBuilder<'m> {
 /// The dissolved contents of an [`OffloadBuilder`], handed to
 /// scheduler front-ends by [`OffloadBuilder::into_parts`].
 ///
-/// A struct rather than a tuple so front-ends keep compiling (and stay
-/// readable) as the builder grows new knobs.
+/// It carries what the builder declares about the offload itself. A
+/// fault plan is not part of it: plain offloads run under whatever
+/// [`Machine::install_fault_plan`] armed, and a front-end arms its own
+/// when its run starts (`offload_rt`'s `Recoverable::faults`).
 #[derive(Debug)]
 pub struct OffloadParts<'m> {
     /// The machine the builder was created on.
@@ -341,8 +323,6 @@ pub struct OffloadParts<'m> {
     pub label: &'static str,
     /// The configured tuned-cache choice.
     pub cache: CacheChoice,
-    /// The fault plan to install before launching, if any.
-    pub faults: Option<FaultPlan>,
     /// The declared access modes (empty = legacy permissive offload).
     pub modes: ModeSet,
     /// Gather plans declared on the builder, in declaration order.
@@ -830,7 +810,6 @@ impl Machine {
             accel,
             label: "offload",
             cache: CacheChoice::Naive,
-            faults: None,
             modes: ModeSet::new(),
             gathers: Vec::new(),
         }
@@ -1207,45 +1186,6 @@ impl Machine {
             .iter()
             .map(|a| a.dma.race_checker().detected())
             .sum()
-    }
-
-    /// Builds a set-associative software cache whose arena is allocated
-    /// *permanently* in accelerator `accel`'s local store, surviving
-    /// across offload blocks (call before the first offload).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `accel` does not exist or its local store is full.
-    pub fn new_cache_for(
-        &mut self,
-        accel: u16,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::SetAssociativeCache, SimError> {
-        self.check_accel(accel)?;
-        Ok(softcache::SetAssociativeCache::new(
-            config,
-            SpaceId::MAIN,
-            &mut self.accels[usize::from(accel)].ls,
-        )?)
-    }
-
-    /// Builds a streaming software cache persisting in accelerator
-    /// `accel`'s local store.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::new_cache_for`].
-    pub fn new_stream_cache_for(
-        &mut self,
-        accel: u16,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::StreamCache, SimError> {
-        self.check_accel(accel)?;
-        Ok(softcache::StreamCache::new(
-            config,
-            SpaceId::MAIN,
-            &mut self.accels[usize::from(accel)].ls,
-        )?)
     }
 
     /// Read-only view of an accelerator's local store (for tests).
@@ -1672,43 +1612,6 @@ mod tests {
     }
 
     #[test]
-    fn machine_level_caches_persist_across_offloads() {
-        use softcache::SoftwareCache;
-        let mut m = machine();
-        let a = m.alloc_main_slice::<u32>(16).unwrap();
-        m.main_mut().write_pod(a, &9u32).unwrap();
-        let mut cache = m
-            .new_cache_for(0, softcache::CacheConfig::direct_mapped_4k())
-            .unwrap();
-        // First offload misses; the second hits the *same* cache because
-        // its arena was allocated before any offload scope.
-        for _ in 0..2 {
-            let v = m
-                .offload(0)
-                .run(|ctx| ctx.cached_read_pod::<u32, _>(&mut cache, a))
-                .unwrap()
-                .unwrap();
-            assert_eq!(v, 9);
-        }
-        assert_eq!(
-            cache.stats().hits,
-            1,
-            "the second offload hit the persistent cache"
-        );
-        assert_eq!(cache.stats().misses, 1);
-
-        let mut stream = m
-            .new_stream_cache_for(0, softcache::CacheConfig::new(256, 1, 1))
-            .unwrap();
-        let v = m
-            .offload(0)
-            .run(|ctx| ctx.cached_read_pod::<u32, _>(&mut stream, a))
-            .unwrap()
-            .unwrap();
-        assert_eq!(v, 9);
-    }
-
-    #[test]
     fn builder_cache_routes_tuned_accesses_and_flushes_on_exit() {
         let mut m = machine();
         let a = m.alloc_main_slice::<u32>(64).unwrap();
@@ -1812,21 +1715,33 @@ mod tests {
     #[test]
     fn accel_death_fails_launches_and_is_sticky() {
         use crate::fault::FaultPlan;
-        let mut m = machine();
-        m.install_fault_plan(FaultPlan::new(1).with_accel_death(1.0));
-        let err = m
-            .offload(0)
-            .run(|ctx| ctx.compute(1))
-            .expect_err("certain death must fail the launch");
-        assert_eq!(err, SimError::Fault(FaultError::AccelDead { accel: 0 }));
-        assert!(m.accel_is_dead(0).unwrap());
-        let t0 = m.host_now();
-        let err = m.offload(0).run(|ctx| ctx.compute(1)).unwrap_err();
-        assert!(matches!(err, SimError::Fault(FaultError::AccelDead { .. })));
-        assert_eq!(m.host_now(), t0, "known-dead launches are free");
-        // Clearing the plan revives the machine.
-        m.clear_fault_plan();
-        m.offload(0).run(|ctx| ctx.compute(1)).unwrap();
+        // Accelerator 70 of 71 checks the dead set past 64 lanes.
+        let wide = MachineConfig {
+            accel_count: 71,
+            main_capacity: 1 << 20,
+            local_store_size: 4096,
+            staging_size: 1024,
+            ..MachineConfig::default()
+        };
+        for (mut m, accel) in [(machine(), 0), (Machine::new(wide).unwrap(), 70)] {
+            m.install_fault_plan(FaultPlan::new(1).with_accel_death(1.0));
+            let err = m
+                .offload(accel)
+                .run(|ctx| ctx.compute(1))
+                .expect_err("certain death must fail the launch");
+            assert_eq!(err, SimError::Fault(FaultError::AccelDead { accel }));
+            assert!(m.accel_is_dead(accel).unwrap());
+            if let Some(alias) = accel.checked_sub(64) {
+                assert!(!m.accel_is_dead(alias).unwrap(), "{accel} aliased {alias}");
+            }
+            let t0 = m.host_now();
+            let err = m.offload(accel).run(|ctx| ctx.compute(1)).unwrap_err();
+            assert_eq!(err, SimError::Fault(FaultError::AccelDead { accel }));
+            assert_eq!(m.host_now(), t0, "known-dead launches are free");
+            // Clearing the plan revives the machine.
+            m.clear_fault_plan();
+            m.offload(accel).run(|ctx| ctx.compute(1)).unwrap();
+        }
     }
 
     #[test]

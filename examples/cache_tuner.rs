@@ -15,7 +15,7 @@
 //!    model for every candidate cache configuration and validates the
 //!    top picks by exact simulated replay,
 //! 3. re-run the identical frame with the winning cache built by
-//!    [`offload_rt::build_tuned_cache`] — the measured cycles land
+//!    [`AccelCtx::new_tuned_cache`] — the measured cycles land
 //!    *exactly* on the tuner's replay prediction, and the world state
 //!    matches the naive run bit-for-bit.
 
@@ -59,7 +59,7 @@ fn ai_frame(
 ) -> Result<u64, SimError> {
     let k = config.candidates;
     let mut cache = match choice {
-        Some(c) => build_tuned_cache(ctx, c)?,
+        Some(c) => ctx.new_tuned_cache(c)?,
         None => None,
     };
     let t0 = ctx.now();

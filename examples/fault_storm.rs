@@ -112,8 +112,8 @@ fn main() -> Result<(), SimError> {
     let (_, report) = machine
         .offload(0)
         .label("storm tile")
-        .faults(plan)
         .sched(SchedPolicy::WorkStealing)
+        .faults(plan)
         .accels(4)
         .retry(2)
         .backoff(500)

@@ -413,9 +413,9 @@ fn tag_timeout_on_an_in_flight_tag_is_sticky_and_loses_no_data() {
     let values: Vec<u32> = (0..64).map(|i| i * 3 + 7).collect();
     machine.main_mut().write_pod_slice(remote, &values).unwrap();
     let expected = values.clone();
+    machine.install_fault_plan(FaultPlan::new(1).with_tag_timeout(1.0));
     machine
         .offload(0)
-        .faults(FaultPlan::new(1).with_tag_timeout(1.0))
         .run(move |ctx| -> Result<(), SimError> {
             let local = ctx.alloc_local(256, 16)?;
             let tag = Tag::new(2).unwrap();
@@ -459,9 +459,9 @@ fn transfer_fault_beside_an_in_flight_tag_leaves_the_clean_tag_intact() {
     let values: Vec<u32> = (0..128).map(|i| i ^ 0x5a5a).collect();
     machine.main_mut().write_pod_slice(remote, &values).unwrap();
     let clean_half = values[..64].to_vec();
+    machine.install_fault_plan(FaultPlan::new(seed).with_dma_corrupt(0.5));
     machine
         .offload(0)
-        .faults(FaultPlan::new(seed).with_dma_corrupt(0.5))
         .run(move |ctx| -> Result<(), SimError> {
             let a = ctx.alloc_local(256, 16)?;
             let b = ctx.alloc_local(256, 16)?;
